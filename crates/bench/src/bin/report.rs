@@ -18,6 +18,34 @@ use tempus_bench::experiments::{
 use tempus_bench::{write_result, SEED};
 use tempus_hwmodel::{PnrModel, SynthModel};
 
+/// Every experiment name `report` accepts, in run order.
+const EXPERIMENTS: [&str; 24] = [
+    "fig1",
+    "table1",
+    "table2",
+    "fig4",
+    "fig5",
+    "table3",
+    "fig6",
+    "fig7",
+    "fig8",
+    "energy",
+    "fig9",
+    "headline",
+    "timing",
+    "ablation",
+    "runtime",
+    "sim_speed",
+    "streaming_gemm",
+    "multi_array",
+    "co_schedule",
+    "fleet_scaling",
+    "serve",
+    "trace_overhead",
+    "chaos_recovery",
+    "dvfs_pareto",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -26,8 +54,27 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
+    let unknown: Vec<&str> = selected
+        .iter()
+        .copied()
+        .filter(|name| !EXPERIMENTS.contains(name))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "unknown experiment(s): {}\nvalid names: {}",
+            unknown.join(", "),
+            EXPERIMENTS.join(", ")
+        );
+        std::process::exit(2);
+    }
     let run_all = selected.is_empty();
-    let wants = |name: &str| run_all || selected.contains(&name);
+    let wants = |name: &str| {
+        debug_assert!(
+            EXPERIMENTS.contains(&name),
+            "{name} missing from EXPERIMENTS"
+        );
+        run_all || selected.contains(&name)
+    };
     // Full runs generate ~180M synthetic weights; --quick bounds each
     // model for smoke-testing the harness.
     let max_weights = if quick { 2_000_000 } else { usize::MAX };
@@ -40,7 +87,7 @@ fn main() {
     let mut index: Vec<(&str, &str, f64)> = Vec::new();
 
     println!("== Tempus Core paper reproduction report ==");
-    println!("(calibration provenance follows; see DESIGN.md for the fitting pipeline)\n");
+    println!("(calibration provenance follows)\n");
     println!("{}", hw.calibration().provenance());
 
     if wants("fig1") {

@@ -1,7 +1,7 @@
 //! Ablation studies beyond the paper's tables: how Tempus Core's
 //! design choices move latency and energy.
 //!
-//! Three ablations called out in DESIGN.md:
+//! Three ablations:
 //!
 //! 1. **2s-unary vs plain unary** — halved stream length (the tubGEMM
 //!    insight the core inherits);

@@ -5,8 +5,8 @@
 //! This figure motivates low-precision inference; it is *cited data*,
 //! not a computation of the Tempus Core paper, so we reprint the
 //! published top-5 ImageNet retraining accuracies rather than
-//! attempting an ImageNet training run (see the substitution ledger in
-//! DESIGN.md). Values are the TQT paper's reported results.
+//! attempting an ImageNet training run. Values are the TQT paper's
+//! reported results.
 
 use tempus_profile::table::Table;
 

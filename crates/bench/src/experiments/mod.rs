@@ -1,4 +1,4 @@
-//! One module per experiment in DESIGN.md's index.
+//! One module per experiment; `report` lists the names it accepts.
 
 pub mod ablation;
 pub mod chaos_recovery;

@@ -149,7 +149,7 @@ fn product_digest(out: &Matrix, per_shard_cycles: &[u64]) -> u64 {
 }
 
 fn time_materialized(engine: &TubGemm, a: &Matrix, b: &Matrix, reps: usize) -> (f64, u64) {
-    let (_, per_shard_cycles) = engine.sharded_cycle_model(a, b, 1);
+    let (_, per_shard_cycles) = engine.cost_profile(a, b).at(1);
     let mut digest = 0u64;
     let start = Instant::now();
     for _ in 0..reps {

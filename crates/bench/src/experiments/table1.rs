@@ -1,6 +1,5 @@
 //! Table I: word sparsity of eight INT8-quantized CNNs.
 
-use crossbeam::thread;
 use tempus_arith::IntPrecision;
 use tempus_hwmodel::paper;
 use tempus_models::zoo::Model;
@@ -24,11 +23,11 @@ pub struct SparsityRow {
 /// quick runs (`usize::MAX` reproduces the full table).
 #[must_use]
 pub fn run(seed: u64, max_weights_per_model: usize) -> Vec<SparsityRow> {
-    let rows = thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = Model::ALL
             .iter()
             .map(|&model| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let quantized = QuantizedModel::generate_limited(
                         model,
                         IntPrecision::Int8,
@@ -51,10 +50,8 @@ pub fn run(seed: u64, max_weights_per_model: usize) -> Vec<SparsityRow> {
         handles
             .into_iter()
             .map(|h| h.join().expect("model generation panicked"))
-            .collect::<Vec<_>>()
+            .collect()
     })
-    .expect("thread scope failed");
-    rows
 }
 
 /// Renders the rows as a markdown table.

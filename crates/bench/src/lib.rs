@@ -1,8 +1,8 @@
 //! Experiment harness: regenerates every table and figure of the
 //! Tempus Core paper from the models in this workspace.
 //!
-//! Each submodule of [`experiments`] owns one experiment ID from
-//! DESIGN.md's index and returns printable tables (and SVGs for
+//! Each submodule of [`experiments`] owns one experiment the `report`
+//! binary selects by name and returns printable tables (and SVGs for
 //! Fig. 6). The `report` binary drives them all and writes
 //! `results/`; the Criterion benches in `benches/` measure the same
 //! computations.

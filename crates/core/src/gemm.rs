@@ -570,49 +570,60 @@ impl TubGemm {
         })
     }
 
-    /// Closed-form per-shard cycle model for
-    /// [`multiply_sharded`](TubGemm::multiply_sharded): per grid tile
-    /// and outer step the window is the largest streamed `|B|`
+    /// The closed-form cost profile of `A × B` on this grid: per grid
+    /// tile and outer step the window is the largest streamed `|B|`
     /// magnitude under 2s-unary encoding, floored at one cycle —
-    /// exactly the accounting the simulated engine keeps, so the
-    /// returned per-shard cycles (and their max, the critical path)
-    /// match the sharded run bit-for-bit. With `num_arrays == 1` the
-    /// single entry equals [`multiply`](TubGemm::multiply)'s cycles.
+    /// exactly the accounting the simulated engine keeps. Priced once
+    /// from one pass over `B`; [`GemmCostProfile::at`] then yields any
+    /// width.
     #[must_use]
-    pub fn sharded_cycle_model(
-        &self,
-        a: &Matrix,
-        b: &Matrix,
-        num_arrays: usize,
-    ) -> (GemmShardPlan, Vec<u64>) {
-        let plan = self.shard_plan(a.rows, b.cols, num_arrays);
-        let m_tiles = a.rows.div_ceil(self.grid_m) as u64;
-        // Per column-tile cost of streaming the whole inner dimension.
-        let col_tile_cycles: Vec<u64> = (0..b.cols.div_ceil(self.grid_p))
-            .map(|tp| {
-                let lo = tp * self.grid_p;
-                let hi = (lo + self.grid_p).min(b.cols);
-                let tile = b.tile_view(0..b.rows, lo..hi);
-                (0..a.cols)
-                    .map(|t| {
-                        let window = tile
-                            .row(t)
-                            .iter()
-                            .map(|&v| v.unsigned_abs().div_ceil(2))
-                            .max()
-                            .unwrap_or(0);
-                        u64::from(window.max(1))
-                    })
-                    .sum::<u64>()
-            })
-            .collect();
-        let all_cols: u64 = col_tile_cycles.iter().sum();
+    pub fn cost_profile(&self, a: &Matrix, b: &Matrix) -> GemmCostProfile {
+        let mut col_tile_cycles = vec![0u64; b.cols.div_ceil(self.grid_p)];
+        // One outer step per inner index: the first `a.cols` rows of B
+        // (all of them when the shapes agree).
+        for b_row in b.data.chunks(b.cols.max(1)).take(a.cols) {
+            for (cycles, tile_row) in col_tile_cycles.iter_mut().zip(b_row.chunks(self.grid_p)) {
+                let max_mag = tile_row.iter().fold(0, |m, &v| m.max(v.unsigned_abs()));
+                *cycles += u64::from(max_mag.div_ceil(2).max(1));
+            }
+        }
+        GemmCostProfile {
+            m_tiles: a.rows.div_ceil(self.grid_m),
+            col_tile_cycles,
+        }
+    }
+}
+
+/// The width-invariant cost of one tubGEMM
+/// ([`TubGemm::cost_profile`]): output tiles are independent and the
+/// inner dimension is never split, so every shard plan is a sum over
+/// these entries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GemmCostProfile {
+    /// Output row tiles (`ceil(m / grid_m)`); each streams every
+    /// column tile.
+    pub m_tiles: usize,
+    /// Cycles of streaming the whole inner dimension through each
+    /// output column tile, in tile order.
+    pub col_tile_cycles: Vec<u64>,
+}
+
+impl GemmCostProfile {
+    /// The shard plan and per-shard cycles across `num_arrays` grids —
+    /// bit-for-bit the per-shard cycles (and, by their max, the
+    /// critical path) of [`TubGemm::multiply_sharded`]; with one array
+    /// the single entry equals [`TubGemm::multiply`]'s cycles.
+    #[must_use]
+    pub fn at(&self, num_arrays: usize) -> (GemmShardPlan, Vec<u64>) {
+        let plan = plan_gemm(self.m_tiles, self.col_tile_cycles.len(), num_arrays);
+        let m_tiles = self.m_tiles as u64;
+        let all_cols: u64 = self.col_tile_cycles.iter().sum();
         let per_shard = match plan.axis {
             GemmAxis::Single => vec![m_tiles * all_cols],
             GemmAxis::Cols => plan
                 .tiles
                 .iter()
-                .map(|&(lo, hi)| m_tiles * col_tile_cycles[lo..hi].iter().sum::<u64>())
+                .map(|&(lo, hi)| m_tiles * self.col_tile_cycles[lo..hi].iter().sum::<u64>())
                 .collect(),
             GemmAxis::Rows => plan
                 .tiles
@@ -748,7 +759,7 @@ mod tests {
             assert!(sharded.critical_path_cycles <= single.stats.cycles);
             // The closed-form model reproduces the simulated shard
             // cycles exactly.
-            let (plan, modelled) = engine.sharded_cycle_model(&a, &b, arrays);
+            let (plan, modelled) = engine.cost_profile(&a, &b).at(arrays);
             assert_eq!(plan, sharded.plan);
             assert_eq!(modelled, sharded.per_shard_cycles);
         }

@@ -9,8 +9,12 @@
 //!
 //! * [`StripeSchedule`] — the shape-derived stripe decomposition
 //!   (groups, taps, ops per stripe), cached per layer shape;
-//! * a weight-digest-keyed memo of full [`LatencyBreakdown`]s, so a
-//!   repeated layer costs one hash lookup instead of a weight scan;
+//! * [`ConvCostProfile`] — the width-invariant cost of a layer: the
+//!   cycles of every (kernel group × channel group) stripe rectangle,
+//!   from one scan of the weights; [`ConvCostProfile::at`] prices any
+//!   array count by summing rectangles;
+//! * a weight-digest-keyed memo of profiles, so a repeated layer costs
+//!   one hash lookup instead of a weight scan, at every width;
 //! * [`ScheduleCache::predict`] — produces *bit-identical* totals to
 //!   [`crate::latency::predict`] (tests pin this), which is itself
 //!   pinned to the cycle-accurate simulation.
@@ -116,8 +120,25 @@ impl StripeSchedule {
                 kernel_c: kernels.c(),
             });
         }
-        let (out_w, out_h) =
-            params.output_dims(features.w(), features.h(), kernels.r(), kernels.s())?;
+        Self::for_map(features.w(), features.h(), kernels, params, config)
+    }
+
+    /// [`StripeSchedule::derive`] from the feature map's `fw × fh`
+    /// extent alone (its channels are taken to match `kernels`) — the
+    /// schedule never reads activation values, so a layer chain can be
+    /// planned on shapes without materializing cubes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the sequencer's output-shape errors.
+    pub fn for_map(
+        fw: usize,
+        fh: usize,
+        kernels: &KernelSet,
+        params: &ConvParams,
+        config: &NvdlaConfig,
+    ) -> Result<Self, NvdlaError> {
+        let (out_w, out_h) = params.output_dims(fw, fh, kernels.r(), kernels.s())?;
         let kernel_groups = kernels.k().div_ceil(config.atomic_k);
         let channel_groups = kernels.c().div_ceil(config.atomic_c);
         Ok(StripeSchedule {
@@ -160,10 +181,10 @@ impl CacheStats {
     }
 }
 
-/// Memo key for a full latency prediction: the stripe shape, the
-/// weight digest, and every [`TempusConfig`] field the breakdown
-/// depends on (cache overheads and the baseline's pipeline depth,
-/// which feeds `binary_cycles`/`slowdown`).
+/// Memo key for a cost profile: the stripe shape, the weight digest,
+/// and every [`TempusConfig`] field the profile depends on (cache
+/// overheads and the baseline's pipeline depth, which feeds
+/// `binary_cycles`/`slowdown`).
 type LatencyKey = (ShapeKey, u64, u32, u32, u32);
 
 /// Closed-form latency of a convolution partitioned across N PE
@@ -195,29 +216,158 @@ impl ShardedLatency {
     }
 }
 
-/// Closed-form prediction for a *streamed* convolution: the latency
-/// of the streamed path is the materialized prediction itself —
-/// double-buffered tile staging overlaps compute, so streaming is a
-/// memory-footprint transform, not a latency one — extended with the
-/// per-output-row scratch unit (`out_w × k` elements) the fused
-/// conv → SDP → pool pipeline in `tempus_nvdla::fused` sizes its
-/// bounded ring from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamedConvLatency {
-    /// The latency breakdown — bit-identical to
-    /// [`ScheduleCache::predict`].
-    pub latency: LatencyBreakdown,
-    /// Elements in one streamed output row (`out_w × k`), the unit
-    /// the fused pipeline's peak-scratch closed form scales.
-    pub conv_row_elems: u64,
+/// The width-invariant cost of one convolution: the cycles of every
+/// (kernel group × channel group) stripe rectangle — one weight-load
+/// cycle per stripe plus window and cache overheads per atomic op —
+/// priced from a single scan of the weights.
+///
+/// Every [`ShardPlan`] partitions the stripe set along group
+/// boundaries, so [`ConvCostProfile::at`] prices any array count by
+/// summing rectangles: the same u64 sums over the same stripes, hence
+/// bit-identical to the per-shard cycles of
+/// [`TempusCore::convolve_sharded`](crate::TempusCore::convolve_sharded)
+/// at every width, and to [`crate::latency::predict`] at one array
+/// (tests pin both).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConvCostProfile {
+    schedule: StripeSchedule,
+    k: usize,
+    c: usize,
+    array: (usize, usize),
+    overhead_per_op: u64,
+    cmac_pipeline_depth: u32,
+    /// Cycles of rectangle `(kg, cg)` at `kg * channel_groups + cg`.
+    rects: Vec<u64>,
 }
 
-/// Per-worker stripe-schedule and latency cache.
+impl ConvCostProfile {
+    /// Prices every stripe rectangle of `schedule` (derived for
+    /// `kernels`) under `config`.
+    #[must_use]
+    pub fn new(schedule: &StripeSchedule, kernels: &KernelSet, config: &TempusConfig) -> Self {
+        let (atomic_k, atomic_c) = (config.base.atomic_k, config.base.atomic_c);
+        let cgs = schedule.channel_groups;
+        let taps = kernels.r() * kernels.s();
+        // Largest |weight| per stripe, indexed (kg, cg, tap), in one
+        // pass over the weights in storage order (channels innermost).
+        // Cells past the kernel count and channels past the extent are
+        // zero (silent) and cannot raise a stripe's max magnitude.
+        let mut max_mag = vec![0u32; schedule.kernel_groups * cgs * taps];
+        let c = kernels.c().max(1);
+        for (k, kernel) in kernels.as_slice().chunks((taps * c).max(1)).enumerate() {
+            let group_stripes = &mut max_mag[k / atomic_k * cgs * taps..];
+            for (tap, weights) in kernel.chunks(c).enumerate() {
+                for (cg, group) in weights.chunks(atomic_c).enumerate() {
+                    let mag = group.iter().fold(0, |m, &v| m.max(v.unsigned_abs()));
+                    let slot = &mut group_stripes[cg * taps + tap];
+                    *slot = (*slot).max(mag);
+                }
+            }
+        }
+        let ops_per_stripe = schedule.ops_per_stripe;
+        let overhead_per_op = u64::from(config.cache_in_cycles + config.cache_out_cycles);
+        let rects = (0..schedule.kernel_groups * cgs)
+            .map(|rect| {
+                max_mag[rect * taps..(rect + 1) * taps]
+                    .iter()
+                    .map(|&mag| {
+                        let stripe_latency = u64::from(mag.div_ceil(2).max(1));
+                        1 + (stripe_latency + overhead_per_op) * ops_per_stripe
+                    })
+                    .sum()
+            })
+            .collect();
+        ConvCostProfile {
+            schedule: *schedule,
+            k: kernels.k(),
+            c: kernels.c(),
+            array: (atomic_k, atomic_c),
+            overhead_per_op,
+            cmac_pipeline_depth: config.base.cmac_pipeline_depth,
+            rects,
+        }
+    }
+
+    /// Summed cycles of the rectangles `kg × cg` (group ranges).
+    fn rect_cost(&self, kg: (usize, usize), cg: (usize, usize)) -> u64 {
+        let cgs = self.schedule.channel_groups;
+        (kg.0..kg.1)
+            .map(|g| {
+                self.rects[g * cgs + cg.0..g * cgs + cg.1]
+                    .iter()
+                    .sum::<u64>()
+            })
+            .sum()
+    }
+
+    /// The single-array latency breakdown — bit-identical to
+    /// [`crate::latency::predict`].
+    fn breakdown(&self) -> LatencyBreakdown {
+        let weight_load_cycles = self.schedule.stripe_count;
+        let ops = self.schedule.atomic_op_count();
+        let overhead_cycles = self.overhead_per_op * ops;
+        let total_cycles: u64 = self.rects.iter().sum();
+        let window_cycles = total_cycles - weight_load_cycles - overhead_cycles;
+        let binary_cycles = weight_load_cycles + ops + u64::from(self.cmac_pipeline_depth);
+        LatencyBreakdown {
+            weight_load_cycles,
+            window_cycles,
+            overhead_cycles,
+            total_cycles,
+            avg_window: if ops == 0 {
+                0.0
+            } else {
+                window_cycles as f64 / ops as f64
+            },
+            binary_cycles,
+            slowdown: if binary_cycles == 0 {
+                0.0
+            } else {
+                total_cycles as f64 / binary_cycles as f64
+            },
+        }
+    }
+
+    /// The latency across `num_arrays` PE arrays: plans the split
+    /// exactly as the cycle-accurate driver does, then sums each
+    /// shard's rectangles.
+    #[must_use]
+    pub fn at(&self, num_arrays: usize) -> ShardedLatency {
+        let (atomic_k, atomic_c) = self.array;
+        let plan = plan_conv(self.k, self.c, atomic_k, atomic_c, num_arrays);
+        let all_kg = (0, self.schedule.kernel_groups);
+        let all_cg = (0, self.schedule.channel_groups);
+        let per_shard_cycles: Vec<u64> = match plan.strategy {
+            ShardStrategy::Single => vec![self.rect_cost(all_kg, all_cg)],
+            ShardStrategy::KernelGroups => plan
+                .slices
+                .iter()
+                .map(|s| self.rect_cost((s.group_lo, s.group_hi), all_cg))
+                .collect(),
+            ShardStrategy::ChannelGroups => plan
+                .slices
+                .iter()
+                .map(|s| self.rect_cost(all_kg, (s.group_lo, s.group_hi)))
+                .collect(),
+        };
+        let out_elems = (self.schedule.out_w * self.schedule.out_h * self.k) as u64;
+        let reduction_cycles = plan.reduction_cycles(out_elems, atomic_k);
+        let max_shard = per_shard_cycles.iter().copied().max().unwrap_or(0);
+        ShardedLatency {
+            plan,
+            total_array_cycles: per_shard_cycles.iter().sum(),
+            critical_path_cycles: max_shard + reduction_cycles,
+            reduction_cycles,
+            per_shard_cycles,
+        }
+    }
+}
+
+/// Per-worker stripe-schedule and cost-profile cache.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleCache {
     schedules: HashMap<ShapeKey, StripeSchedule>,
-    latencies: HashMap<LatencyKey, LatencyBreakdown>,
-    sharded: HashMap<(LatencyKey, usize), ShardedLatency>,
+    profiles: HashMap<LatencyKey, ConvCostProfile>,
     stats: CacheStats,
 }
 
@@ -234,16 +384,16 @@ impl ScheduleCache {
         self.stats
     }
 
-    /// Cached entries `(schedules, latencies)`.
+    /// Cached entries `(schedules, profiles)`.
     #[must_use]
     pub fn len(&self) -> (usize, usize) {
-        (self.schedules.len(), self.latencies.len())
+        (self.schedules.len(), self.profiles.len())
     }
 
     /// `true` when nothing is cached yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.schedules.is_empty() && self.latencies.is_empty() && self.sharded.is_empty()
+        self.schedules.is_empty() && self.profiles.is_empty()
     }
 
     /// The stripe schedule for one convolution, cached per shape.
@@ -269,6 +419,38 @@ impl ScheduleCache {
         Ok(schedule)
     }
 
+    /// The cost profile of one convolution, memoized per shape ×
+    /// weight digest × config: a repeated layer costs one weight hash
+    /// and no scan, whatever width it is then priced at.
+    ///
+    /// # Errors
+    ///
+    /// Returns the sequencer's shape errors.
+    fn profile(
+        &mut self,
+        features: &DataCube,
+        kernels: &KernelSet,
+        params: &ConvParams,
+        config: &TempusConfig,
+    ) -> Result<&ConvCostProfile, NvdlaError> {
+        let memo_key = (
+            ShapeKey::new(features, kernels, params, &config.base),
+            kernels.content_hash(),
+            config.cache_in_cycles,
+            config.cache_out_cycles,
+            config.base.cmac_pipeline_depth,
+        );
+        if self.profiles.contains_key(&memo_key) {
+            self.stats.latency_hits += 1;
+        } else {
+            self.stats.latency_misses += 1;
+            let schedule = self.schedule(features, kernels, params, &config.base)?;
+            let profile = ConvCostProfile::new(&schedule, kernels, config);
+            self.profiles.insert(memo_key, profile);
+        }
+        Ok(&self.profiles[&memo_key])
+    }
+
     /// Closed-form latency prediction with schedule caching and
     /// weight-digest memoization. Totals are bit-identical to
     /// [`crate::latency::predict`] (and therefore to the
@@ -284,52 +466,11 @@ impl ScheduleCache {
         params: &ConvParams,
         config: &TempusConfig,
     ) -> Result<LatencyBreakdown, NvdlaError> {
-        let key = ShapeKey::new(features, kernels, params, &config.base);
-        let memo_key = (
-            key,
-            kernels.content_hash(),
-            config.cache_in_cycles,
-            config.cache_out_cycles,
-            config.base.cmac_pipeline_depth,
-        );
-        if let Some(&hit) = self.latencies.get(&memo_key) {
-            self.stats.latency_hits += 1;
-            return Ok(hit);
-        }
-        self.stats.latency_misses += 1;
-        let schedule = self.schedule(features, kernels, params, &config.base)?;
-        let breakdown = predict_from_schedule(&schedule, kernels, config);
-        self.latencies.insert(memo_key, breakdown);
-        Ok(breakdown)
+        Ok(self.profile(features, kernels, params, config)?.breakdown())
     }
 
-    /// Streamed-execution prediction: the same memoized closed-form
-    /// latency as [`ScheduleCache::predict`] (streaming changes where
-    /// operand bytes live, not when windows fire), plus the
-    /// schedule-derived per-row scratch unit for peak-scratch
-    /// budgeting. Tests pin the latency bit-identical to the
-    /// materialized prediction.
-    ///
-    /// # Errors
-    ///
-    /// Returns the sequencer's shape errors.
-    pub fn predict_streamed(
-        &mut self,
-        features: &DataCube,
-        kernels: &KernelSet,
-        params: &ConvParams,
-        config: &TempusConfig,
-    ) -> Result<StreamedConvLatency, NvdlaError> {
-        let latency = self.predict(features, kernels, params, config)?;
-        let schedule = self.schedule(features, kernels, params, &config.base)?;
-        Ok(StreamedConvLatency {
-            latency,
-            conv_row_elems: (schedule.out_w * kernels.k()) as u64,
-        })
-    }
-
-    /// Closed-form multi-array latency prediction with schedule
-    /// caching and weight-digest memoization. Per-shard cycles are
+    /// Closed-form multi-array latency prediction: the memoized
+    /// profile priced at `num_arrays`. Per-shard cycles are
     /// bit-identical to the cycle-accurate sharded engine (each shard
     /// is itself a convolution the single-array theorem covers).
     ///
@@ -344,163 +485,9 @@ impl ScheduleCache {
         config: &TempusConfig,
         num_arrays: usize,
     ) -> Result<ShardedLatency, NvdlaError> {
-        let key = ShapeKey::new(features, kernels, params, &config.base);
-        let memo_key = (
-            (
-                key,
-                kernels.content_hash(),
-                config.cache_in_cycles,
-                config.cache_out_cycles,
-                config.base.cmac_pipeline_depth,
-            ),
-            num_arrays,
-        );
-        if let Some(hit) = self.sharded.get(&memo_key) {
-            self.stats.latency_hits += 1;
-            return Ok(hit.clone());
-        }
-        self.stats.latency_misses += 1;
-        let schedule = self.schedule(features, kernels, params, &config.base)?;
-        let sharded = predict_sharded_from_schedule(&schedule, kernels, config, num_arrays);
-        self.sharded.insert(memo_key, sharded.clone());
-        Ok(sharded)
-    }
-}
-
-/// The closed-form latency computation given a derived schedule: scans
-/// each stripe's weight slice directly on the [`KernelSet`] instead of
-/// materialising sequencer commands.
-#[must_use]
-pub fn predict_from_schedule(
-    schedule: &StripeSchedule,
-    kernels: &KernelSet,
-    config: &TempusConfig,
-) -> LatencyBreakdown {
-    let (atomic_k, atomic_c) = (config.base.atomic_k, config.base.atomic_c);
-    let ops_per_stripe = schedule.ops_per_stripe;
-    let overhead_per_op = u64::from(config.cache_in_cycles + config.cache_out_cycles);
-
-    let mut window_cycles = 0u64;
-    // Stripe order is irrelevant for totals; iterate the same (kg, cg,
-    // r, s) decomposition the sequencer uses. Cells past the kernel
-    // count and channels past the extent are zero (silent) and cannot
-    // raise a stripe's max magnitude.
-    for kg in 0..schedule.kernel_groups {
-        let k_lo = kg * atomic_k;
-        let k_hi = (k_lo + atomic_k).min(kernels.k());
-        for cg in 0..schedule.channel_groups {
-            let c_lo = cg * atomic_c;
-            let c_hi = (c_lo + atomic_c).min(kernels.c());
-            for r in 0..kernels.r() {
-                for s in 0..kernels.s() {
-                    let mut max_mag = 0u32;
-                    for k in k_lo..k_hi {
-                        for c in c_lo..c_hi {
-                            max_mag = max_mag.max(kernels.get(k, r, s, c).unsigned_abs());
-                        }
-                    }
-                    let stripe_latency = max_mag.div_ceil(2);
-                    window_cycles += u64::from(stripe_latency.max(1)) * ops_per_stripe;
-                }
-            }
-        }
-    }
-
-    let weight_load_cycles = schedule.stripe_count;
-    let ops = schedule.atomic_op_count();
-    let overhead_cycles = overhead_per_op * ops;
-    let total_cycles = weight_load_cycles + window_cycles + overhead_cycles;
-    let binary_cycles = weight_load_cycles + ops + u64::from(config.base.cmac_pipeline_depth);
-    LatencyBreakdown {
-        weight_load_cycles,
-        window_cycles,
-        overhead_cycles,
-        total_cycles,
-        avg_window: if ops == 0 {
-            0.0
-        } else {
-            window_cycles as f64 / ops as f64
-        },
-        binary_cycles,
-        slowdown: if binary_cycles == 0 {
-            0.0
-        } else {
-            total_cycles as f64 / binary_cycles as f64
-        },
-    }
-}
-
-/// The closed-form sharded latency computation given a derived
-/// schedule: plans the split exactly as the cycle-accurate driver
-/// does, then prices each shard's stripe subset with the same
-/// per-stripe arithmetic as [`predict_from_schedule`] — so summing
-/// the shards reproduces the single-array total bit-for-bit, and each
-/// shard's cycles equal its simulated run.
-#[must_use]
-pub fn predict_sharded_from_schedule(
-    schedule: &StripeSchedule,
-    kernels: &KernelSet,
-    config: &TempusConfig,
-    num_arrays: usize,
-) -> ShardedLatency {
-    let (atomic_k, atomic_c) = (config.base.atomic_k, config.base.atomic_c);
-    let plan = plan_conv(kernels.k(), kernels.c(), atomic_k, atomic_c, num_arrays);
-
-    // Cost of the stripe rectangle (kernel groups × channel groups):
-    // one weight-load cycle per stripe plus window + cache overheads
-    // per atomic op — identical arithmetic to predict_from_schedule.
-    let ops_per_stripe = schedule.ops_per_stripe;
-    let overhead_per_op = u64::from(config.cache_in_cycles + config.cache_out_cycles);
-    let rect_cost = |kg_range: (usize, usize), cg_range: (usize, usize)| -> u64 {
-        let mut cycles = 0u64;
-        for kg in kg_range.0..kg_range.1 {
-            let k_lo = kg * atomic_k;
-            let k_hi = (k_lo + atomic_k).min(kernels.k());
-            for cg in cg_range.0..cg_range.1 {
-                let c_lo = cg * atomic_c;
-                let c_hi = (c_lo + atomic_c).min(kernels.c());
-                for r in 0..kernels.r() {
-                    for s in 0..kernels.s() {
-                        let mut max_mag = 0u32;
-                        for k in k_lo..k_hi {
-                            for c in c_lo..c_hi {
-                                max_mag = max_mag.max(kernels.get(k, r, s, c).unsigned_abs());
-                            }
-                        }
-                        let stripe_latency = max_mag.div_ceil(2);
-                        cycles += 1
-                            + (u64::from(stripe_latency.max(1)) + overhead_per_op) * ops_per_stripe;
-                    }
-                }
-            }
-        }
-        cycles
-    };
-
-    let all_kg = (0, schedule.kernel_groups);
-    let all_cg = (0, schedule.channel_groups);
-    let per_shard_cycles: Vec<u64> = match plan.strategy {
-        ShardStrategy::Single => vec![rect_cost(all_kg, all_cg)],
-        ShardStrategy::KernelGroups => plan
-            .slices
-            .iter()
-            .map(|s| rect_cost((s.group_lo, s.group_hi), all_cg))
-            .collect(),
-        ShardStrategy::ChannelGroups => plan
-            .slices
-            .iter()
-            .map(|s| rect_cost(all_kg, (s.group_lo, s.group_hi)))
-            .collect(),
-    };
-    let out_elems = (schedule.out_w * schedule.out_h * kernels.k()) as u64;
-    let reduction_cycles = plan.reduction_cycles(out_elems, atomic_k);
-    let max_shard = per_shard_cycles.iter().copied().max().unwrap_or(0);
-    ShardedLatency {
-        plan,
-        total_array_cycles: per_shard_cycles.iter().sum(),
-        critical_path_cycles: max_shard + reduction_cycles,
-        reduction_cycles,
-        per_shard_cycles,
+        Ok(self
+            .profile(features, kernels, params, config)?
+            .at(num_arrays))
     }
 }
 
@@ -618,21 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_prediction_is_latency_invariant() {
-        // Streaming moves bytes, not windows: the streamed prediction
-        // must be bit-identical to the materialized one.
-        let (f, kn) = case(8, 8, 3, 11);
-        let params = ConvParams::unit_stride_same(3);
-        let config = TempusConfig::nv_small();
-        let mut cache = ScheduleCache::new();
-        let materialized = cache.predict(&f, &kn, &params, &config).unwrap();
-        let streamed = cache.predict_streamed(&f, &kn, &params, &config).unwrap();
-        assert_eq!(streamed.latency, materialized);
-        let schedule = StripeSchedule::derive(&f, &kn, &params, &config.base).unwrap();
-        assert_eq!(streamed.conv_row_elems, (schedule.out_w * kn.k()) as u64);
-    }
-
-    #[test]
     fn sharded_predictions_hit_the_memo() {
         let (f, kn) = case(8, 16, 3, 9);
         let params = ConvParams::valid();
@@ -646,9 +618,13 @@ mod tests {
         }
         assert_eq!(cache.stats().latency_misses, misses);
         assert_eq!(cache.stats().latency_hits, 5);
-        // A different array count is a different memo entry.
+        // The profile is width-invariant: other array counts and the
+        // single-array prediction are answered from the same entry.
         let _ = cache.predict_sharded(&f, &kn, &params, &config, 4).unwrap();
-        assert_eq!(cache.stats().latency_misses, misses + 1);
+        let _ = cache.predict(&f, &kn, &params, &config).unwrap();
+        assert_eq!(cache.stats().latency_misses, misses);
+        assert_eq!(cache.stats().latency_hits, 7);
+        assert_eq!(cache.len(), (1, 1));
     }
 
     #[test]

@@ -281,9 +281,10 @@ pub fn marginal_speedup(narrower_cycles: u64, wider_cycles: u64) -> f64 {
 
 /// Picks how many arrays a job should take, instead of always taking
 /// all `max_arrays`: every candidate width up to `max_arrays` is
-/// evaluated through `estimate` (typically a closure over
-/// [`ScheduleCache::predict_sharded`](crate::schedule::ScheduleCache::predict_sharded)
-/// or [`TubGemm::sharded_cycle_model`](crate::gemm::TubGemm)), and
+/// evaluated through `estimate` (typically a closure pricing a
+/// [`ConvCostProfile`](crate::schedule::ConvCostProfile) or
+/// [`GemmCostProfile`](crate::gemm::GemmCostProfile) built once per
+/// job), and
 /// the walk widens from the current choice `c` to a wider `w` only
 /// when
 ///

@@ -17,7 +17,7 @@
 //! and every cycle/silence counter is computed from the same
 //! per-step operand values. Streaming is purely an
 //! execution-order/memory-footprint transform, which is why the
-//! closed-form latency model ([`TubGemm::sharded_cycle_model`])
+//! closed-form latency model ([`TubGemm::cost_profile`])
 //! carries over to the streamed path unchanged
 //! ([`TubGemm::streamed_cycle_model`] pins this).
 
@@ -166,7 +166,7 @@ pub struct StreamedGemmModel {
     /// The shard plan the prediction models.
     pub plan: GemmShardPlan,
     /// Predicted cycles per shard — identical to
-    /// [`TubGemm::sharded_cycle_model`] and therefore to the streamed
+    /// [`TubGemm::cost_profile`] and therefore to the streamed
     /// simulation.
     pub per_shard_cycles: Vec<u64>,
     /// Predicted peak scratch, equal to the streamed run's observed
@@ -349,7 +349,7 @@ impl TubGemm {
     }
 
     /// Closed-form model of the streamed (sharded) run: per-shard
-    /// cycles from [`TubGemm::sharded_cycle_model`] — double buffering
+    /// cycles from [`TubGemm::cost_profile`] — double buffering
     /// hides staging, so streamed latency equals materialized latency
     /// exactly — plus the predicted peak scratch.
     #[must_use]
@@ -360,7 +360,7 @@ impl TubGemm {
         num_arrays: usize,
         plan: &StreamPlan,
     ) -> StreamedGemmModel {
-        let (shard_plan, per_shard_cycles) = self.sharded_cycle_model(a, b, num_arrays);
+        let (shard_plan, per_shard_cycles) = self.cost_profile(a, b).at(num_arrays);
         StreamedGemmModel {
             plan: shard_plan,
             per_shard_cycles,

@@ -4,7 +4,7 @@
 //! MobileNetV2 and ResNeXt101 tile statistics). Pretrained checkpoints
 //! are unavailable offline, so this crate substitutes **synthetic
 //! weights** with the paper's own published statistics as calibration
-//! targets (see DESIGN.md's substitution ledger):
+//! targets (see README.md, *Reproducing the paper*):
 //!
 //! * [`zoo`] encodes architecture-faithful convolution layer shape
 //!   lists for the eight CNNs in Table I;

@@ -50,6 +50,31 @@ impl PoolParams {
         }
     }
 
+    /// Output `(w, h)` of pooling a `w × h` plane — the shape half of
+    /// [`apply`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NvdlaError::InvalidShape`] for zero window/stride and
+    /// [`NvdlaError::EmptyOutput`] when the window exceeds the padded
+    /// input.
+    pub fn output_dims(&self, w: usize, h: usize) -> Result<(usize, usize), NvdlaError> {
+        if self.window == 0 || self.stride == 0 {
+            return Err(NvdlaError::InvalidShape(
+                "pool window and stride must be >= 1".into(),
+            ));
+        }
+        let padded_w = w + 2 * self.pad;
+        let padded_h = h + 2 * self.pad;
+        if self.window > padded_w || self.window > padded_h {
+            return Err(NvdlaError::EmptyOutput);
+        }
+        Ok((
+            (padded_w - self.window) / self.stride + 1,
+            (padded_h - self.window) / self.stride + 1,
+        ))
+    }
+
     /// Order-stable FNV-1a digest over the pooling configuration —
     /// cache-key material for the serving layer.
     #[must_use]
@@ -77,18 +102,7 @@ impl PoolParams {
 /// [`NvdlaError::EmptyOutput`] when the window exceeds the padded
 /// input.
 pub fn apply(cube: &DataCube, params: &PoolParams) -> Result<DataCube, NvdlaError> {
-    if params.window == 0 || params.stride == 0 {
-        return Err(NvdlaError::InvalidShape(
-            "pool window and stride must be >= 1".into(),
-        ));
-    }
-    let padded_w = cube.w() + 2 * params.pad;
-    let padded_h = cube.h() + 2 * params.pad;
-    if params.window > padded_w || params.window > padded_h {
-        return Err(NvdlaError::EmptyOutput);
-    }
-    let out_w = (padded_w - params.window) / params.stride + 1;
-    let out_h = (padded_h - params.window) / params.stride + 1;
+    let (out_w, out_h) = params.output_dims(cube.w(), cube.h())?;
     let mut out = DataCube::zeros(out_w, out_h, cube.c());
     for oy in 0..out_h {
         for ox in 0..out_w {

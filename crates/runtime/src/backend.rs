@@ -769,7 +769,7 @@ impl InferenceBackend for FunctionalBackend {
                     // one array the plan is `Single` and the lone shard's
                     // cycles equal `TubGemm::multiply`'s accounting, so
                     // there is no separate single-array copy to drift.
-                    let (plan, per_shard) = self.gemm.sharded_cycle_model(a, b, num_arrays);
+                    let (plan, per_shard) = self.gemm.cost_profile(a, b).at(num_arrays);
                     Ok(sharded_execution(
                         JobOutput::Matrix(output),
                         plan.used_arrays(),
@@ -779,24 +779,7 @@ impl InferenceBackend for FunctionalBackend {
                 }
             }
             JobPayload::Network { input, layers } => {
-                if self.streaming.is_some() {
-                    let (output, critical, total_array, accum, peak) =
-                        self.run_network_functional_streamed(input, layers, num_arrays)?;
-                    Ok(if num_arrays > 1 {
-                        network_execution(output, critical, total_array, &accum)
-                    } else {
-                        Execution::single(JobOutput::Cube(output), critical)
-                    }
-                    .with_peak_scratch(peak))
-                } else {
-                    let (output, critical, total_array, accum) =
-                        self.run_network_functional(input, layers, num_arrays)?;
-                    if num_arrays > 1 {
-                        Ok(network_execution(output, critical, total_array, &accum))
-                    } else {
-                        Ok(Execution::single(JobOutput::Cube(output), critical))
-                    }
-                }
+                self.run_network_functional(input, layers, num_arrays)
             }
         }
     }
@@ -813,62 +796,18 @@ impl InferenceBackend for FunctionalBackend {
 impl FunctionalBackend {
     /// Network execution mirroring
     /// [`tempus_nvdla::network::run_network`] with the convolution
-    /// replaced by golden model + closed-form (sharded) latency.
-    /// Returns `(output, critical_path, total_array_cycles, accum)`;
-    /// on a single array the two cycle figures coincide.
+    /// replaced by golden model + closed-form sharded latency (each
+    /// layer's memoized cost profile priced at `num_arrays`). In
+    /// streaming mode each layer runs through
+    /// [`fused::run_layer_fused`] — the conv output cube never
+    /// materializes — and the fused-ring peak scratch (max over
+    /// layers) is attached; the latency is the same either way.
     fn run_network_functional(
         &mut self,
         input: &DataCube,
         layers: &[NetworkLayer],
         num_arrays: usize,
-    ) -> Result<(DataCube, u64, u64, ShardAccum), RuntimeError> {
-        let mut x = input.clone();
-        let mut critical = 0u64;
-        let mut total_array = 0u64;
-        let mut accum = ShardAccum::new();
-        for layer in layers {
-            tempus_nvdla::conv::check_operands(&x, &layer.kernels, self.config.base.precision)?;
-            if num_arrays > 1 {
-                let latency = self.cache.predict_sharded(
-                    &x,
-                    &layer.kernels,
-                    &layer.conv,
-                    &self.config,
-                    num_arrays,
-                )?;
-                critical += latency.critical_path_cycles;
-                total_array += latency.total_array_cycles;
-                accum.add(&latency.per_shard_cycles);
-            } else {
-                let latency = self
-                    .cache
-                    .predict(&x, &layer.kernels, &layer.conv, &self.config)?;
-                critical += latency.total_cycles;
-                total_array += latency.total_cycles;
-            }
-            let conv_out = direct_conv(&x, &layer.kernels, &layer.conv)?;
-            let (requant, _) = sdp::apply(&conv_out, &layer.sdp)?;
-            x = match &layer.pool {
-                Some(pool) => pdp::apply(&requant, pool)?,
-                None => requant,
-            };
-        }
-        Ok((x, critical, total_array, accum))
-    }
-
-    /// The fully fused streamed counterpart of
-    /// [`FunctionalBackend::run_network_functional`]: each layer runs
-    /// through [`fused::run_layer_fused`] — the conv output cube never
-    /// materializes — while the memoized closed-form latency
-    /// ([`ScheduleCache::predict_streamed`] per layer) is unchanged
-    /// from the materialized prediction. Also returns the fused-ring
-    /// peak scratch (max over layers).
-    fn run_network_functional_streamed(
-        &mut self,
-        input: &DataCube,
-        layers: &[NetworkLayer],
-        num_arrays: usize,
-    ) -> Result<(DataCube, u64, u64, ShardAccum, u64), RuntimeError> {
+    ) -> Result<Execution, RuntimeError> {
         let mut x = input.clone();
         let mut critical = 0u64;
         let mut total_array = 0u64;
@@ -876,29 +815,30 @@ impl FunctionalBackend {
         let mut peak_scratch = 0u64;
         for layer in layers {
             tempus_nvdla::conv::check_operands(&x, &layer.kernels, self.config.base.precision)?;
-            if num_arrays > 1 {
-                let latency = self.cache.predict_sharded(
-                    &x,
-                    &layer.kernels,
-                    &layer.conv,
-                    &self.config,
-                    num_arrays,
-                )?;
-                critical += latency.critical_path_cycles;
-                total_array += latency.total_array_cycles;
-                accum.add(&latency.per_shard_cycles);
+            let latency = self.cache.predict_sharded(
+                &x,
+                &layer.kernels,
+                &layer.conv,
+                &self.config,
+                num_arrays,
+            )?;
+            critical += latency.critical_path_cycles;
+            total_array += latency.total_array_cycles;
+            accum.add(&latency.per_shard_cycles);
+            x = if self.streaming.is_some() {
+                let fused = fused::run_layer_fused(&x, layer)?;
+                peak_scratch = peak_scratch.max(fused.peak_scratch_elems);
+                fused.output
             } else {
-                let streamed =
-                    self.cache
-                        .predict_streamed(&x, &layer.kernels, &layer.conv, &self.config)?;
-                critical += streamed.latency.total_cycles;
-                total_array += streamed.latency.total_cycles;
-            }
-            let fused = fused::run_layer_fused(&x, layer)?;
-            peak_scratch = peak_scratch.max(fused.peak_scratch_elems);
-            x = fused.output;
+                let conv_out = direct_conv(&x, &layer.kernels, &layer.conv)?;
+                let (requant, _) = sdp::apply(&conv_out, &layer.sdp)?;
+                match &layer.pool {
+                    Some(pool) => pdp::apply(&requant, pool)?,
+                    None => requant,
+                }
+            };
         }
-        Ok((x, critical, total_array, accum, peak_scratch))
+        Ok(network_execution(x, critical, total_array, &accum).with_peak_scratch(peak_scratch))
     }
 }
 

@@ -58,6 +58,6 @@ fn main() {
     }
     println!(
         "\nretuning guide: beta moves the tile-max distribution (latency); the sparsity\n\
-         target is pinned exactly by construction. See DESIGN.md section 2."
+         target is pinned exactly by construction."
     );
 }

@@ -146,7 +146,7 @@ proptest! {
             let run = engine.multiply_sharded(&a, &b, arrays).unwrap();
             prop_assert_eq!(&run.output, &single.output, "arrays={}", arrays);
             prop_assert_eq!(&run.stats, &single.stats, "arrays={}", arrays);
-            let (plan, modelled) = engine.sharded_cycle_model(&a, &b, arrays);
+            let (plan, modelled) = engine.cost_profile(&a, &b).at(arrays);
             prop_assert_eq!(&plan, &run.plan);
             prop_assert_eq!(&modelled, &run.per_shard_cycles);
         }
