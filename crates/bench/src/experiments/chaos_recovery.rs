@@ -20,8 +20,11 @@ use tempus_serve::{
 
 /// Watchdog base deadline used by every chaos scenario: small enough
 /// that injected stalls recover in milliseconds, large enough that no
-/// healthy functional execution is ever cancelled.
-const WATCHDOG_MS: u64 = 10;
+/// healthy functional execution is ever cancelled. Unoptimized builds
+/// run the functional backend roughly 10x slower (a quick-mode network
+/// job takes ~11 ms alone on a 2-vCPU host, more with every worker
+/// busy), so they get a 10x leash.
+const WATCHDOG_MS: u64 = if cfg!(debug_assertions) { 100 } else { 10 };
 
 /// One serving pass under one fault plan.
 #[derive(Debug, Clone, PartialEq)]
