@@ -2,6 +2,8 @@
 //! compute per PE cell: a 1×1×n feature cube against a cached 1×1×n
 //! weight cube, producing one partial sum (§III).
 
+use std::ops::{Add, AddAssign, Mul};
+
 use crate::{adder_tree, tub, ArithError, IntPrecision};
 
 /// Exact dot product of validated operands, reduced through the same
@@ -66,6 +68,55 @@ pub fn tub(
 /// `precision`.
 pub fn tub_latency(weights: &[i32], precision: IntPrecision) -> Result<u32, ArithError> {
     tub::array_latency(weights, precision)
+}
+
+/// An exact accumulator lane for the functional GEMM and convolution
+/// kernels: `i32` where [`fits_i32`] proves no partial sum can
+/// overflow, `i64` otherwise. Products are formed in the lane type, so
+/// the `i64` lane is exact for any `i32` operands.
+pub trait Accumulator:
+    Copy + Default + From<i32> + Add<Output = Self> + Mul<Output = Self> + AddAssign
+{
+    /// The finished sum as an `i32` output, or `None` when it does not
+    /// fit.
+    fn to_i32(self) -> Option<i32>;
+}
+
+impl Accumulator for i32 {
+    fn to_i32(self) -> Option<i32> {
+        Some(self)
+    }
+}
+
+impl Accumulator for i64 {
+    fn to_i32(self) -> Option<i32> {
+        i32::try_from(self).ok()
+    }
+}
+
+/// The accumulation bound both functional kernels share: a reduction
+/// of `terms` products whose factors are at most `max_a` and `max_b`
+/// in magnitude keeps every partial sum in `i32` when
+/// `terms · max_a · max_b ≤ i32::MAX`. Low precision is what makes the
+/// bound hold in practice: an INT8×INT8 product is at most 2^14 in
+/// magnitude, so an INT8 reduction stays in `i32` up to 2^17 − 1 terms.
+///
+/// ```
+/// use tempus_arith::dot::fits_i32;
+///
+/// assert!(fits_i32((1 << 17) - 1, 128, 128));
+/// assert!(!fits_i32(1 << 17, 128, 128));
+/// ```
+#[must_use]
+pub fn fits_i32(terms: usize, max_a: u32, max_b: u32) -> bool {
+    (terms as u128) * u128::from(max_a) * u128::from(max_b) <= i32::MAX as u128
+}
+
+/// The largest magnitude in `values` (0 when empty) — the factor bound
+/// [`fits_i32`] takes.
+#[must_use]
+pub fn max_magnitude(values: &[i32]) -> u32 {
+    values.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0)
 }
 
 fn check_lengths(a: &[i32], b: &[i32]) -> Result<(), ArithError> {

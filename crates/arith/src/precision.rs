@@ -91,6 +91,25 @@ impl IntPrecision {
         }
     }
 
+    /// Checks every element of `values`, failing on the first
+    /// out-of-range one exactly as a [`check`](IntPrecision::check)
+    /// loop would. The common all-in-range case is one vectorizable
+    /// min/max pass with no early exit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArithError::OutOfRange`] for the first value outside
+    /// `min_value()..=max_value()`.
+    pub fn check_all(self, values: &[i32]) -> Result<(), ArithError> {
+        let (lo, hi) = values
+            .iter()
+            .fold((0, 0), |(lo, hi), &v| (v.min(lo), v.max(hi)));
+        if lo >= self.min_value() && hi <= self.max_value() {
+            return Ok(());
+        }
+        values.iter().try_for_each(|&v| self.check(v).map(drop))
+    }
+
     /// Saturates `value` into the representable range.
     #[must_use]
     pub fn saturate(self, value: i64) -> i32 {
@@ -180,6 +199,22 @@ mod tests {
         assert_eq!(p.check(7), Ok(7));
         assert!(p.check(8).is_err());
         assert!(p.check(-9).is_err());
+    }
+
+    #[test]
+    fn check_all_reports_the_first_out_of_range_value() {
+        let p = IntPrecision::Int4;
+        let first_err = |values: &[i32]| values.iter().find_map(|&v| p.check(v).err());
+        for values in [
+            &[][..],
+            &[-8, 0, 7],
+            &[3, -9, 8],
+            &[3, 8, -9],
+            &[i32::MIN, 0],
+            &[0, i32::MAX],
+        ] {
+            assert_eq!(p.check_all(values).err(), first_err(values), "{values:?}");
+        }
     }
 
     #[test]

@@ -16,9 +16,11 @@
 
 use std::fmt;
 
+use tempus_arith::dot::{self, max_magnitude, Accumulator};
 use tempus_arith::{ArithError, IntPrecision, TwosUnaryStream};
 
 use crate::shard::{balance, plan_gemm, GemmAxis, GemmShardPlan};
+use crate::streaming::StreamPlan;
 
 /// A dense row-major integer matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,12 +165,24 @@ impl Matrix {
         )
     }
 
-    /// Golden exact product `self × rhs` in `i64`-safe arithmetic.
+    /// Exact product `self × rhs`, one output row at a time through
+    /// the `gemm_row` microkernel (memory order: `out_row += a[i][t] · b_row_t`).
+    ///
+    /// Accumulation runs in `i32` when the one-pass bound
+    /// `n · max|a| · max|b| ≤ i32::MAX` ([`dot::fits_i32`]) proves no
+    /// partial sum can overflow — always the case for INT8 and below
+    /// at any practical inner dimension. Otherwise each row accumulates
+    /// in `i64` and is narrowed once at the end.
     ///
     /// # Errors
     ///
     /// Returns [`ArithError::LengthMismatch`] when inner dimensions
     /// disagree.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `"gemm output exceeds i32"` when an output element
+    /// does not fit `i32` (only reachable on the `i64` path).
     pub fn multiply(&self, rhs: &Matrix) -> Result<Matrix, ArithError> {
         if self.cols != rhs.rows {
             return Err(ArithError::LengthMismatch {
@@ -176,17 +190,48 @@ impl Matrix {
                 rhs: rhs.rows,
             });
         }
+        let (max_a, max_b) = (max_magnitude(&self.data), max_magnitude(&rhs.data));
+        Ok(if dot::fits_i32(self.cols, max_a, max_b) {
+            self.multiply_in::<i32>(rhs)
+        } else {
+            self.multiply_in::<i64>(rhs)
+        })
+    }
+
+    fn multiply_in<A: Accumulator>(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for j in 0..rhs.cols {
-                let mut acc = 0i64;
-                for t in 0..self.cols {
-                    acc += i64::from(self.get(i, t)) * i64::from(rhs.get(t, j));
-                }
-                out.set(i, j, i32::try_from(acc).expect("gemm output exceeds i32"));
-            }
+        let mut acc = vec![A::default(); rhs.cols];
+        for (i, out_row) in out.data.chunks_exact_mut(rhs.cols).enumerate() {
+            acc.fill(A::default());
+            gemm_row(&mut acc, self.row(i), &rhs.data);
+            flush_row(&acc, out_row);
         }
-        Ok(out)
+        out
+    }
+}
+
+/// The one functional GEMM row microkernel: `acc += a_row × B`, where
+/// `b` holds `a_row.len()` row-major rows of `acc.len()` columns. The
+/// inner loop is a contiguous multiply-add over one `B` row, which the
+/// compiler vectorizes. The caller picks the accumulator lane with
+/// [`dot::fits_i32`].
+pub(crate) fn gemm_row<A: Accumulator>(acc: &mut [A], a_row: &[i32], b: &[i32]) {
+    for (&x, b_row) in a_row.iter().zip(b.chunks_exact(acc.len())) {
+        let x = A::from(x);
+        for (slot, &w) in acc.iter_mut().zip(b_row) {
+            *slot += x * A::from(w);
+        }
+    }
+}
+
+/// Narrows finished accumulator lanes into `out`.
+///
+/// # Panics
+///
+/// Panics with `"gemm output exceeds i32"` when a sum does not fit.
+pub(crate) fn flush_row<A: Accumulator>(acc: &[A], out: &mut [i32]) {
+    for (slot, &v) in out.iter_mut().zip(acc) {
+        *slot = v.to_i32().expect("gemm output exceeds i32");
     }
 }
 
@@ -334,7 +379,9 @@ impl TubGemm {
     }
 
     /// Computes `A × B` with outer-product temporal dataflow,
-    /// returning the exact product and the cycle count.
+    /// returning the exact product and the cycle count: the streamed
+    /// engine ([`TubGemm::multiply_streamed`]) with one window spanning
+    /// the whole inner dimension.
     ///
     /// # Errors
     ///
@@ -342,75 +389,11 @@ impl TubGemm {
     /// mismatch or [`ArithError::OutOfRange`] on out-of-precision
     /// operands.
     pub fn multiply(&self, a: &Matrix, b: &Matrix) -> Result<GemmRun, ArithError> {
-        if a.cols != b.rows {
-            return Err(ArithError::LengthMismatch {
-                lhs: a.cols,
-                rhs: b.rows,
-            });
-        }
-        for &v in &a.data {
-            self.precision.check(v)?;
-        }
-        for &v in &b.data {
-            self.precision.check(v)?;
-        }
-        let mut acc = vec![0i64; a.rows * b.cols];
-        let mut stats = GemmStats::default();
-        // Stream and decoded-weight scratch, sized once per tile pass
-        // and reused across the N outer steps — no per-step
-        // allocation.
-        let mut streams: Vec<TwosUnaryStream> = Vec::with_capacity(self.grid_p);
-        let mut weights: Vec<i32> = Vec::with_capacity(self.grid_p);
-        // Tile the output grid over the PE array.
-        for m0 in (0..a.rows).step_by(self.grid_m) {
-            for p0 in (0..b.cols).step_by(self.grid_p) {
-                stats.tile_passes += 1;
-                let m1 = (m0 + self.grid_m).min(a.rows);
-                let p1 = (p0 + self.grid_p).min(b.cols);
-                // One checked view per tile pass; every row access
-                // below is a plain contiguous slice.
-                let b_tile = b.tile_view(0..b.rows, p0..p1);
-                // N rank-1 updates; each step's window is bounded by
-                // the largest streamed |B| value in the active columns.
-                for t in 0..a.cols {
-                    stats.steps += 1;
-                    streams.clear();
-                    for &v in b_tile.row(t) {
-                        streams.push(TwosUnaryStream::encode(v, self.precision)?);
-                    }
-                    let window = streams.iter().map(|s| s.cycles()).max().unwrap_or(0);
-                    stats.cycles += u64::from(window.max(1));
-                    let silent = streams.iter().filter(|s| s.is_silent()).count();
-                    stats.silent_pe_steps += silent as u64 * (m1 - m0) as u64;
-                    // Window-batched fold: the whole stream's
-                    // contribution is its decoded value times the
-                    // activation — bit-identical to accumulating
-                    // pulse by pulse (silent streams decode to 0 and
-                    // contribute nothing). Products stay in i32
-                    // (|a·w| ≤ 2^(2w-2)) and widen at the accumulate.
-                    weights.clear();
-                    weights.extend(streams.iter().map(|s| s.decode()));
-                    for i in m0..m1 {
-                        let activation = a.data[i * a.cols + t];
-                        let row = &mut acc[i * b.cols + p0..i * b.cols + p1];
-                        for (slot, &w) in row.iter_mut().zip(&weights) {
-                            *slot += i64::from(activation * w);
-                        }
-                    }
-                }
-            }
-        }
-        let mut output = Matrix::zeros(a.rows, b.cols);
-        for i in 0..a.rows {
-            for j in 0..b.cols {
-                output.set(
-                    i,
-                    j,
-                    i32::try_from(acc[i * b.cols + j]).expect("gemm output exceeds i32"),
-                );
-            }
-        }
-        Ok(GemmRun { output, stats })
+        let run = self.multiply_streamed(a, b, &StreamPlan::new(a.cols))?;
+        Ok(GemmRun {
+            output: run.output,
+            stats: run.stats,
+        })
     }
 
     /// The pre-window-batching engine: encodes each step's `B` row
@@ -430,12 +413,8 @@ impl TubGemm {
                 rhs: b.rows,
             });
         }
-        for &v in &a.data {
-            self.precision.check(v)?;
-        }
-        for &v in &b.data {
-            self.precision.check(v)?;
-        }
+        self.precision.check_all(&a.data)?;
+        self.precision.check_all(&b.data)?;
         let mut acc = vec![0i64; a.rows * b.cols];
         let mut stats = GemmStats::default();
         for m0 in (0..a.rows).step_by(self.grid_m) {
@@ -465,15 +444,7 @@ impl TubGemm {
             }
         }
         let mut output = Matrix::zeros(a.rows, b.cols);
-        for i in 0..a.rows {
-            for j in 0..b.cols {
-                output.set(
-                    i,
-                    j,
-                    i32::try_from(acc[i * b.cols + j]).expect("gemm output exceeds i32"),
-                );
-            }
-        }
+        flush_row(&acc, &mut output.data);
         Ok(GemmRun { output, stats })
     }
 
@@ -499,7 +470,9 @@ impl TubGemm {
     /// never split, so no reduction stage is needed). The merged
     /// output and summed statistics are bit-identical to
     /// [`multiply`](TubGemm::multiply); `critical_path_cycles` (the
-    /// slowest shard) is the multi-array latency.
+    /// slowest shard) is the multi-array latency. Runs
+    /// [`TubGemm::multiply_sharded_streamed`] with one window spanning
+    /// the whole inner dimension.
     ///
     /// # Errors
     ///
@@ -510,64 +483,8 @@ impl TubGemm {
         b: &Matrix,
         num_arrays: usize,
     ) -> Result<ShardedGemmRun, ArithError> {
-        if a.cols != b.rows {
-            return Err(ArithError::LengthMismatch {
-                lhs: a.cols,
-                rhs: b.rows,
-            });
-        }
-        let plan = self.shard_plan(a.rows, b.cols, num_arrays);
-        if plan.axis == GemmAxis::Single {
-            let run = self.multiply(a, b)?;
-            return Ok(ShardedGemmRun {
-                critical_path_cycles: run.stats.cycles,
-                per_shard_cycles: vec![run.stats.cycles],
-                output: run.output,
-                stats: run.stats,
-                plan,
-            });
-        }
-        let mut output = Matrix::zeros(a.rows, b.cols);
-        let mut stats = GemmStats::default();
-        let mut per_shard_cycles = Vec::with_capacity(plan.tiles.len());
-        for &(t_lo, t_hi) in &plan.tiles {
-            let run = match plan.axis {
-                GemmAxis::Cols => {
-                    let lo = t_lo * self.grid_p;
-                    let hi = (t_hi * self.grid_p).min(b.cols);
-                    let sub = b.tile_view(0..b.rows, lo..hi).to_matrix();
-                    let run = self.multiply(a, &sub)?;
-                    for i in 0..a.rows {
-                        output.row_mut(i)[lo..hi].copy_from_slice(run.output.row(i));
-                    }
-                    run
-                }
-                GemmAxis::Rows => {
-                    let lo = t_lo * self.grid_m;
-                    let hi = (t_hi * self.grid_m).min(a.rows);
-                    let sub = a.tile_view(lo..hi, 0..a.cols).to_matrix();
-                    let run = self.multiply(&sub, b)?;
-                    for i in 0..(hi - lo) {
-                        output.row_mut(lo + i).copy_from_slice(run.output.row(i));
-                    }
-                    run
-                }
-                GemmAxis::Single => unreachable!("handled above"),
-            };
-            stats.cycles += run.stats.cycles;
-            stats.steps += run.stats.steps;
-            stats.tile_passes += run.stats.tile_passes;
-            stats.silent_pe_steps += run.stats.silent_pe_steps;
-            per_shard_cycles.push(run.stats.cycles);
-        }
-        let critical_path_cycles = per_shard_cycles.iter().copied().max().unwrap_or(0);
-        Ok(ShardedGemmRun {
-            output,
-            stats,
-            plan,
-            per_shard_cycles,
-            critical_path_cycles,
-        })
+        let plan = StreamPlan::new(a.cols);
+        Ok(self.multiply_sharded_streamed(a, b, num_arrays, &plan)?.run)
     }
 
     /// The closed-form cost profile of `A × B` on this grid: per grid
@@ -672,6 +589,126 @@ mod tests {
             ((i as i32 * 13 + j as i32 * 41 + seed * 3) % 255) - 127
         });
         (a, b)
+    }
+
+    /// The naive checked-index `i64` triple loop [`Matrix::multiply`]
+    /// replaced, kept as the independent oracle: unnarrowed sums, so a
+    /// test can tell which outputs fit `i32`.
+    fn multiply_oracle(a: &Matrix, b: &Matrix) -> Vec<i64> {
+        let mut out = Vec::with_capacity(a.rows() * b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0i64;
+                for t in 0..a.cols() {
+                    acc += i64::from(a.get(i, t)) * i64::from(b.get(t, j));
+                }
+                out.push(acc);
+            }
+        }
+        out
+    }
+
+    /// Operands at `precision`: each element is nonzero with
+    /// probability `1 / sparsity`, uniform over the whole range, and
+    /// both `[0][0]` corners hold the most negative value, so the
+    /// accumulator bound sits at its worst case.
+    fn precision_case(
+        precision: IntPrecision,
+        (m, n, p): (usize, usize, usize),
+        sparsity: u64,
+        seed: u64,
+    ) -> (Matrix, Matrix) {
+        let mut state = seed;
+        let mut draw = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let span = u64::from(precision.max_magnitude()) * 2;
+        let mut value = move || {
+            let (keep, v) = (draw(), draw());
+            if keep % sparsity == 0 {
+                precision.min_value() + (v % span) as i32
+            } else {
+                0
+            }
+        };
+        let mut a = Matrix::from_fn(m, n, |_, _| value());
+        let mut b = Matrix::from_fn(n, p, |_, _| value());
+        a.set(0, 0, precision.min_value());
+        b.set(0, 0, precision.min_value());
+        (a, b)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn multiply_equals_oracle(
+            precision in proptest::prop_oneof![
+                proptest::prelude::Just(IntPrecision::Int2),
+                proptest::prelude::Just(IntPrecision::Int4),
+                proptest::prelude::Just(IntPrecision::Int8),
+                proptest::prelude::Just(IntPrecision::Int16),
+            ],
+            shape in proptest::prop_oneof![
+                (1usize..=4, 1usize..=8, 1usize..=4),
+                (1usize..=16, 1usize..=512, 1usize..=128),
+                proptest::prelude::Just((16usize, 512usize, 128usize)),
+            ],
+            sparsity in proptest::prop_oneof![
+                proptest::prelude::Just(1u64),
+                proptest::prelude::Just(8u64),
+                proptest::prelude::Just(64u64),
+            ],
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (a, b) = precision_case(precision, shape, sparsity, seed);
+            let oracle = multiply_oracle(&a, &b);
+            // Outputs past i32 panic instead (pinned below).
+            proptest::prop_assume!(oracle.iter().all(|&v| i32::try_from(v).is_ok()));
+            let bound = dot::fits_i32(
+                a.cols(),
+                max_magnitude(a.as_slice()),
+                max_magnitude(b.as_slice()),
+            );
+            // Low precision stays on the i32 lane at every shape here;
+            // INT16 extremes force the i64 lane past one inner step.
+            proptest::prop_assert_eq!(
+                bound,
+                precision != IntPrecision::Int16 || a.cols() == 1
+            );
+            let product = a.multiply(&b).unwrap();
+            let expected: Vec<i32> = oracle.iter().map(|&v| v as i32).collect();
+            proptest::prop_assert_eq!(product.as_slice(), &expected[..]);
+            let plan = crate::streaming::StreamPlan::new(1 + (seed % 64) as usize);
+            let (streamed, _) = crate::streaming::stream_product(&a, &b, (4, 4), &plan).unwrap();
+            proptest::prop_assert_eq!(streamed, product);
+        }
+    }
+
+    #[test]
+    fn partial_sums_past_i32_take_the_i64_lane() {
+        // 2^30 + 2^30 overflows an i32 partial sum; the final sum fits.
+        let a = Matrix::from_fn(1, 4, |_, _| -32768);
+        let b = Matrix::from_fn(4, 1, |t, _| if t < 2 { -32768 } else { 32767 });
+        assert_eq!(multiply_oracle(&a, &b), vec![65536]);
+        assert_eq!(a.multiply(&b).unwrap().get(0, 0), 65536);
+        for tile_k in [1, 4] {
+            let plan = crate::streaming::StreamPlan::new(tile_k);
+            let (streamed, _) = crate::streaming::stream_product(&a, &b, (1, 1), &plan).unwrap();
+            assert_eq!(streamed.get(0, 0), 65536, "tile_k={tile_k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm output exceeds i32")]
+    fn multiply_panics_when_an_output_exceeds_i32() {
+        let a = Matrix::from_fn(1, 2, |_, _| -32768);
+        let b = Matrix::from_fn(2, 1, |_, _| -32768);
+        let _ = a.multiply(&b);
     }
 
     #[test]

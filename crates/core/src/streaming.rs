@@ -1,9 +1,9 @@
 //! Streaming tiled GEMM: resource-invariant execution of large
 //! products through a bounded, reused scratch arena.
 //!
-//! The materialized engine ([`TubGemm::multiply`]) walks whole
-//! operands and a full `rows × cols` `i64` accumulator. This module
-//! streams the same computation through O(tile) scratch: per output
+//! This is the one tubGEMM engine: [`TubGemm::multiply`] and
+//! [`TubGemm::multiply_sharded`] are its single-window case. It
+//! streams the computation through O(tile) scratch: per output
 //! tile, the inner dimension is cut into [`StreamPlan::tile_k`]-deep
 //! windows whose operand tiles are staged into a double-buffered
 //! arena (window *w+1* is staged while window *w* computes, so
@@ -11,8 +11,9 @@
 //! latency), and partial sums accumulate in a tile-local accumulator
 //! bank that never leaves the core until the tile's final flush.
 //!
-//! **Bit-identity is the contract.** Outputs and [`GemmStats`] match
-//! the materialized path exactly: integer accumulation is exact and
+//! **Bit-identity is the contract.** Outputs and [`GemmStats`] are
+//! the same at every window depth, and match the per-cycle
+//! [`TubGemm::multiply_reference`]: integer accumulation is exact and
 //! the windows visit the inner dimension in the same ascending order,
 //! and every cycle/silence counter is computed from the same
 //! per-step operand values. Streaming is purely an
@@ -23,9 +24,10 @@
 
 use std::ops::Range;
 
+use tempus_arith::dot::{self, max_magnitude, Accumulator};
 use tempus_arith::{ArithError, TwosUnaryStream};
 
-use crate::gemm::{GemmStats, Matrix, ShardedGemmRun, TubGemm};
+use crate::gemm::{flush_row, gemm_row, GemmStats, Matrix, ShardedGemmRun, TubGemm};
 use crate::shard::GemmAxis;
 use crate::shard::GemmShardPlan;
 
@@ -65,8 +67,12 @@ impl StreamPlan {
     /// size** — that is the streaming guarantee.
     #[must_use]
     pub fn peak_scratch_elems(&self, engine: &TubGemm, m: usize, n: usize, p: usize) -> u64 {
-        let em = engine.grid_m().min(m) as u64;
-        let ep = engine.grid_p().min(p) as u64;
+        self.scratch_elems((engine.grid_m(), engine.grid_p()), m, n, p)
+    }
+
+    fn scratch_elems(&self, (grid_m, grid_p): (usize, usize), m: usize, n: usize, p: usize) -> u64 {
+        let em = grid_m.min(m) as u64;
+        let ep = grid_p.min(p) as u64;
         let ek = self.tile_k.min(n) as u64;
         2 * em * ek + 2 * ek * ep + em * ep
     }
@@ -174,37 +180,88 @@ pub struct StreamedGemmModel {
     pub peak_scratch_elems: u64,
 }
 
-/// Reused staging state: double-buffered operand tiles, the
-/// accumulator bank, and the per-step stream scratch — allocated once
-/// per run, reused across every tile pass and window.
-struct StreamArena {
+/// Reused staging state: double-buffered operand tiles and the
+/// tile-local accumulator bank — allocated once per run, reused across
+/// every tile pass and window.
+struct StreamArena<A> {
     a_buf: [Vec<i32>; 2],
     b_buf: [Vec<i32>; 2],
-    acc: Vec<i64>,
-    streams: Vec<TwosUnaryStream>,
-    weights: Vec<i32>,
-    capacity_elems: u64,
+    acc: Vec<A>,
 }
 
-impl StreamArena {
-    fn new(engine: &TubGemm, m: usize, n: usize, p: usize, plan: &StreamPlan) -> Self {
-        let em = engine.grid_m().min(m);
-        let ep = engine.grid_p().min(p);
-        let ek = plan.tile_k().min(n);
+impl<A: Accumulator> StreamArena<A> {
+    fn new(
+        (grid_m, grid_p): (usize, usize),
+        m: usize,
+        n: usize,
+        p: usize,
+        plan: &StreamPlan,
+    ) -> Self {
+        let (em, ep, ek) = (grid_m.min(m), grid_p.min(p), plan.tile_k().min(n));
         StreamArena {
             a_buf: [Vec::with_capacity(em * ek), Vec::with_capacity(em * ek)],
             b_buf: [Vec::with_capacity(ek * ep), Vec::with_capacity(ek * ep)],
-            acc: vec![0i64; em * ep],
-            streams: Vec::with_capacity(ep),
-            weights: Vec::with_capacity(ep),
-            capacity_elems: plan.peak_scratch_elems(engine, m, n, p),
+            acc: vec![A::default(); em * ep],
         }
+    }
+
+    /// Streams the output tiles of `m_range × p_range` (cut by `grid`)
+    /// through the arena: per tile pass the inner dimension flows as
+    /// `tile_k`-deep windows (window *w+1* is staged into the back
+    /// buffers before window *w* computes — the double-buffer overlap),
+    /// `window(a_tile, b_tile, kw, bank)` folds each `kw`-deep window
+    /// into the tile's bank, and the finished tile flushes to `output`
+    /// once. Returns the tile passes made.
+    #[allow(clippy::too_many_arguments)]
+    fn stream(
+        &mut self,
+        a: &Matrix,
+        b: &Matrix,
+        (m_range, p_range): (Range<usize>, Range<usize>),
+        (grid_m, grid_p): (usize, usize),
+        plan: &StreamPlan,
+        output: &mut Matrix,
+        stream: &mut StreamStats,
+        mut window: impl FnMut(&[i32], &[i32], usize, &mut [A]) -> Result<(), ArithError>,
+    ) -> Result<u64, ArithError> {
+        let (n, tile_k) = (a.cols(), plan.tile_k());
+        let windows = n.div_ceil(tile_k);
+        let bounds = |w: usize| w * tile_k..((w + 1) * tile_k).min(n);
+        let mut passes = 0;
+        for m0 in m_range.clone().step_by(grid_m) {
+            let m1 = (m0 + grid_m).min(m_range.end);
+            for p0 in p_range.clone().step_by(grid_p) {
+                let p1 = (p0 + grid_p).min(p_range.end);
+                passes += 1;
+                let bank = &mut self.acc[..(m1 - m0) * (p1 - p0)];
+                bank.fill(A::default());
+                stage_tile(a, m0..m1, bounds(0), &mut self.a_buf[0]);
+                stage_tile(b, bounds(0), p0..p1, &mut self.b_buf[0]);
+                stream.tiles_staged += 2;
+                for w in 0..windows {
+                    let front = w % 2;
+                    if w + 1 < windows {
+                        stage_tile(a, m0..m1, bounds(w + 1), &mut self.a_buf[1 - front]);
+                        stage_tile(b, bounds(w + 1), p0..p1, &mut self.b_buf[1 - front]);
+                        stream.tiles_staged += 2;
+                    }
+                    stream.inner_windows += 1;
+                    let kw = bounds(w).len();
+                    window(&self.a_buf[front], &self.b_buf[front], kw, bank)?;
+                }
+                // The only time partial sums leave the bank: the
+                // finished tile flushes to the output once.
+                for (i, bank_row) in bank.chunks_exact(p1 - p0).enumerate() {
+                    flush_row(bank_row, &mut output.row_mut(m0 + i)[p0..p1]);
+                }
+            }
+        }
+        Ok(passes)
     }
 }
 
 /// Stages the operand window into `buf` through the checked
-/// [`Matrix::tile_view`] — the same slicing helper the sharded driver
-/// uses, so neither path hand-rolls index arithmetic.
+/// [`Matrix::tile_view`], so no path hand-rolls index arithmetic.
 fn stage_tile(src: &Matrix, rows: Range<usize>, cols: Range<usize>, buf: &mut Vec<i32>) {
     buf.clear();
     let view = src.tile_view(rows, cols);
@@ -214,63 +271,40 @@ fn stage_tile(src: &Matrix, rows: Range<usize>, cols: Range<usize>, buf: &mut Ve
 }
 
 impl TubGemm {
-    /// Computes `A × B` with the same temporal dataflow as
-    /// [`TubGemm::multiply`], streamed through the bounded
-    /// double-buffered scratch arena described by `plan`. Output and
-    /// [`GemmStats`] are bit-identical to the materialized engine.
+    /// Computes `A × B` with outer-product temporal dataflow, streamed
+    /// through the bounded double-buffered scratch arena described by
+    /// `plan`: the width-1 case of
+    /// [`TubGemm::multiply_sharded_streamed`]. Output and
+    /// [`GemmStats`] are the same at every window depth.
     ///
     /// # Errors
     ///
-    /// Exactly the errors of [`TubGemm::multiply`].
+    /// Returns [`ArithError::LengthMismatch`] on inner-dimension
+    /// mismatch or [`ArithError::OutOfRange`] on out-of-precision
+    /// operands.
     pub fn multiply_streamed(
         &self,
         a: &Matrix,
         b: &Matrix,
         plan: &StreamPlan,
     ) -> Result<StreamedGemmRun, ArithError> {
-        if a.cols() != b.rows() {
-            return Err(ArithError::LengthMismatch {
-                lhs: a.cols(),
-                rhs: b.rows(),
-            });
-        }
-        for &v in a.as_slice() {
-            self.precision().check(v)?;
-        }
-        for &v in b.as_slice() {
-            self.precision().check(v)?;
-        }
-        let mut arena = StreamArena::new(self, a.rows(), a.cols(), b.cols(), plan);
-        let mut output = Matrix::zeros(a.rows(), b.cols());
-        let mut stream = StreamStats {
-            peak_scratch_elems: arena.capacity_elems,
-            tile_k: plan.tile_k(),
-            ..StreamStats::default()
-        };
-        let stats = self.stream_ranges(
-            a,
-            b,
-            (0..a.rows(), 0..b.cols()),
-            plan,
-            &mut arena,
-            &mut output,
-            &mut stream,
-        )?;
+        let run = self.multiply_sharded_streamed(a, b, 1, plan)?;
         Ok(StreamedGemmRun {
-            output,
-            stats,
-            stream,
+            output: run.run.output,
+            stats: run.run.stats,
+            stream: run.stream,
         })
     }
 
-    /// The streamed counterpart of [`TubGemm::multiply_sharded`]:
-    /// identical shard plan and per-shard accounting, with each
-    /// shard's output tiles streamed through the shared arena instead
-    /// of copied out into per-shard operand matrices.
+    /// Computes `A × B` partitioned across `num_arrays` PE grids
+    /// ([`TubGemm::shard_plan`]), each shard's output tiles streamed
+    /// through one shared arena. The merged output and summed
+    /// statistics do not depend on the width; `critical_path_cycles`
+    /// (the slowest shard) is the multi-array latency.
     ///
     /// # Errors
     ///
-    /// Exactly the errors of [`TubGemm::multiply`].
+    /// Exactly the errors of [`TubGemm::multiply_streamed`].
     pub fn multiply_sharded_streamed(
         &self,
         a: &Matrix,
@@ -284,51 +318,73 @@ impl TubGemm {
                 rhs: b.rows(),
             });
         }
-        let shard_plan = self.shard_plan(a.rows(), b.cols(), num_arrays);
-        if shard_plan.axis == GemmAxis::Single {
-            let run = self.multiply_streamed(a, b, plan)?;
-            return Ok(StreamedShardedGemmRun {
-                run: ShardedGemmRun {
-                    critical_path_cycles: run.stats.cycles,
-                    per_shard_cycles: vec![run.stats.cycles],
-                    output: run.output,
-                    stats: run.stats,
-                    plan: shard_plan,
-                },
-                stream: run.stream,
-            });
-        }
-        for &v in a.as_slice() {
-            self.precision().check(v)?;
-        }
-        for &v in b.as_slice() {
-            self.precision().check(v)?;
-        }
-        let mut arena = StreamArena::new(self, a.rows(), a.cols(), b.cols(), plan);
-        let mut output = Matrix::zeros(a.rows(), b.cols());
+        self.precision().check_all(a.as_slice())?;
+        self.precision().check_all(b.as_slice())?;
+        let (m, n, p) = (a.rows(), a.cols(), b.cols());
+        let grid = (self.grid_m(), self.grid_p());
+        let shard_plan = self.shard_plan(m, p, num_arrays);
+        let tiles = shard_plan.tiles.iter();
+        let shards: Vec<(Range<usize>, Range<usize>)> = match shard_plan.axis {
+            GemmAxis::Single => vec![(0..m, 0..p)],
+            GemmAxis::Cols => tiles
+                .map(|&(lo, hi)| (0..m, lo * grid.1..(hi * grid.1).min(p)))
+                .collect(),
+            GemmAxis::Rows => tiles
+                .map(|&(lo, hi)| (lo * grid.0..(hi * grid.0).min(m), 0..p))
+                .collect(),
+        };
+        let mut arena = StreamArena::<i64>::new(grid, m, n, p, plan);
+        let mut output = Matrix::zeros(m, p);
         let mut stream = StreamStats {
-            peak_scratch_elems: arena.capacity_elems,
+            peak_scratch_elems: plan.peak_scratch_elems(self, m, n, p),
             tile_k: plan.tile_k(),
             ..StreamStats::default()
         };
         let mut stats = GemmStats::default();
-        let mut per_shard_cycles = Vec::with_capacity(shard_plan.tiles.len());
-        for &(t_lo, t_hi) in &shard_plan.tiles {
-            let ranges = match shard_plan.axis {
-                GemmAxis::Cols => {
-                    let lo = t_lo * self.grid_p();
-                    let hi = (t_hi * self.grid_p()).min(b.cols());
-                    (0..a.rows(), lo..hi)
-                }
-                GemmAxis::Rows => {
-                    let lo = t_lo * self.grid_m();
-                    let hi = (t_hi * self.grid_m()).min(a.rows());
-                    (lo..hi, 0..b.cols())
-                }
-                GemmAxis::Single => unreachable!("handled above"),
-            };
-            let shard =
-                self.stream_ranges(a, b, ranges, plan, &mut arena, &mut output, &mut stream)?;
+        let mut per_shard_cycles = Vec::with_capacity(shards.len());
+        // Per-step stream and decoded-weight scratch, reused across
+        // every step of every window.
+        let mut streams: Vec<TwosUnaryStream> = Vec::with_capacity(grid.1);
+        let mut weights: Vec<i32> = Vec::with_capacity(grid.1);
+        for ranges in shards {
+            let mut shard = GemmStats::default();
+            shard.tile_passes = arena.stream(
+                a,
+                b,
+                ranges,
+                grid,
+                plan,
+                &mut output,
+                &mut stream,
+                |a_tile, b_tile, kw, bank| {
+                    let ep = b_tile.len() / kw;
+                    // One rank-1 update per inner step; its window is
+                    // bounded by the largest streamed |B| in the tile.
+                    for (lt, b_row) in b_tile.chunks_exact(ep).enumerate() {
+                        shard.steps += 1;
+                        streams.clear();
+                        for &v in b_row {
+                            streams.push(TwosUnaryStream::encode(v, self.precision())?);
+                        }
+                        let window = streams.iter().map(|s| s.cycles()).max().unwrap_or(0);
+                        shard.cycles += u64::from(window.max(1));
+                        let silent = streams.iter().filter(|s| s.is_silent()).count();
+                        shard.silent_pe_steps += (silent * a_tile.len() / kw) as u64;
+                        // Window-batched fold: a whole stream
+                        // contributes its decoded value times the
+                        // activation — bit-identical to accumulating
+                        // pulse by pulse (silent streams decode to 0).
+                        weights.clear();
+                        weights.extend(streams.iter().map(|s| s.decode()));
+                        for (bank_row, a_row) in
+                            bank.chunks_exact_mut(ep).zip(a_tile.chunks_exact(kw))
+                        {
+                            gemm_row(bank_row, &a_row[lt..=lt], &weights);
+                        }
+                    }
+                    Ok(())
+                },
+            )?;
             stats.cycles += shard.cycles;
             stats.steps += shard.steps;
             stats.tile_passes += shard.tile_passes;
@@ -367,110 +423,24 @@ impl TubGemm {
             peak_scratch_elems: plan.peak_scratch_elems(self, a.rows(), a.cols(), b.cols()),
         }
     }
-
-    /// Streams the output tiles of `m_range × p_range` through the
-    /// arena: per tile pass the inner dimension flows as `tile_k`-deep
-    /// windows (next window staged into the back buffers before the
-    /// front computes — the double-buffer overlap), partial sums stay
-    /// in the tile accumulator bank, and the finished tile flushes to
-    /// `output` once.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn stream_ranges(
-        &self,
-        a: &Matrix,
-        b: &Matrix,
-        (m_range, p_range): (Range<usize>, Range<usize>),
-        plan: &StreamPlan,
-        arena: &mut StreamArena,
-        output: &mut Matrix,
-        stream: &mut StreamStats,
-    ) -> Result<GemmStats, ArithError> {
-        let n = a.cols();
-        let tile_k = plan.tile_k();
-        let windows = n.div_ceil(tile_k);
-        let mut stats = GemmStats::default();
-        let window_bounds = |w: usize| {
-            let k0 = w * tile_k;
-            (k0, (k0 + tile_k).min(n))
-        };
-        for m0 in m_range.clone().step_by(self.grid_m()) {
-            let m1 = (m0 + self.grid_m()).min(m_range.end);
-            for p0 in p_range.clone().step_by(self.grid_p()) {
-                let p1 = (p0 + self.grid_p()).min(p_range.end);
-                stats.tile_passes += 1;
-                let (em, ep) = (m1 - m0, p1 - p0);
-                let acc = &mut arena.acc[..em * ep];
-                acc.fill(0);
-                // Pre-stage window 0, then keep one window in flight:
-                // stage w+1 into the back buffers before computing w.
-                let mut front = 0usize;
-                let (k0, k1) = window_bounds(0);
-                stage_tile(a, m0..m1, k0..k1, &mut arena.a_buf[front]);
-                stage_tile(b, k0..k1, p0..p1, &mut arena.b_buf[front]);
-                stream.tiles_staged += 2;
-                for w in 0..windows {
-                    let (k0, k1) = window_bounds(w);
-                    if w + 1 < windows {
-                        let (n0, n1) = window_bounds(w + 1);
-                        stage_tile(a, m0..m1, n0..n1, &mut arena.a_buf[1 - front]);
-                        stage_tile(b, n0..n1, p0..p1, &mut arena.b_buf[1 - front]);
-                        stream.tiles_staged += 2;
-                    }
-                    stream.inner_windows += 1;
-                    let kw = k1 - k0;
-                    let a_tile = &arena.a_buf[front];
-                    let b_tile = &arena.b_buf[front];
-                    for lt in 0..kw {
-                        stats.steps += 1;
-                        arena.streams.clear();
-                        for &v in &b_tile[lt * ep..(lt + 1) * ep] {
-                            arena
-                                .streams
-                                .push(TwosUnaryStream::encode(v, self.precision())?);
-                        }
-                        let window = arena.streams.iter().map(|s| s.cycles()).max().unwrap_or(0);
-                        stats.cycles += u64::from(window.max(1));
-                        let silent = arena.streams.iter().filter(|s| s.is_silent()).count();
-                        stats.silent_pe_steps += silent as u64 * em as u64;
-                        arena.weights.clear();
-                        arena
-                            .weights
-                            .extend(arena.streams.iter().map(|s| s.decode()));
-                        for i in 0..em {
-                            let activation = a_tile[i * kw + lt];
-                            let row = &mut acc[i * ep..(i + 1) * ep];
-                            for (slot, &wgt) in row.iter_mut().zip(&arena.weights) {
-                                *slot += i64::from(activation * wgt);
-                            }
-                        }
-                    }
-                    front = 1 - front;
-                }
-                // The only time partial sums leave the bank: the
-                // finished tile flushes to the output once.
-                for i in 0..em {
-                    let bank = &acc[i * ep..(i + 1) * ep];
-                    for (slot, &v) in output.row_mut(m0 + i)[p0..p1].iter_mut().zip(bank) {
-                        *slot = i32::try_from(v).expect("gemm output exceeds i32");
-                    }
-                }
-            }
-        }
-        Ok(stats)
-    }
 }
 
-/// Functional streamed product: the golden `i64` product of
-/// [`Matrix::multiply`] computed through the same bounded
-/// double-buffered arena (tile dims from `grid`, window depth from
-/// `plan`), with per-row contiguous accumulation instead of
-/// per-element checked indexing — bit-identical outputs, a raw
-/// wall-clock win on large shapes, and O(tile) peak scratch.
+/// Functional streamed product: [`Matrix::multiply`] computed through
+/// the same bounded double-buffered arena (tile dims from `grid`,
+/// window depth from `plan`). Each window runs the shared row
+/// microkernel per tile row, in the accumulator lane the same
+/// [`dot::fits_i32`] bound picks — bit-identical outputs and O(tile)
+/// peak scratch.
 ///
 /// # Errors
 ///
 /// Returns [`ArithError::LengthMismatch`] when inner dimensions
 /// disagree.
+///
+/// # Panics
+///
+/// Panics with `"gemm output exceeds i32"` under the same condition as
+/// [`Matrix::multiply`].
 pub fn stream_product(
     a: &Matrix,
     b: &Matrix,
@@ -483,77 +453,46 @@ pub fn stream_product(
             rhs: b.rows(),
         });
     }
-    let (grid_m, grid_p) = (grid.0.max(1), grid.1.max(1));
+    let grid = (grid.0.max(1), grid.1.max(1));
+    let (max_a, max_b) = (max_magnitude(a.as_slice()), max_magnitude(b.as_slice()));
+    if dot::fits_i32(a.cols(), max_a, max_b) {
+        stream_product_in::<i32>(a, b, grid, plan)
+    } else {
+        stream_product_in::<i64>(a, b, grid, plan)
+    }
+}
+
+fn stream_product_in<A: Accumulator>(
+    a: &Matrix,
+    b: &Matrix,
+    grid: (usize, usize),
+    plan: &StreamPlan,
+) -> Result<(Matrix, StreamStats), ArithError> {
     let (m, n, p) = (a.rows(), a.cols(), b.cols());
-    let (em_cap, ep_cap) = (grid_m.min(m), grid_p.min(p));
-    let ek_cap = plan.tile_k().min(n);
-    let mut a_buf = [
-        Vec::with_capacity(em_cap * ek_cap),
-        Vec::with_capacity(em_cap * ek_cap),
-    ];
-    let mut b_buf = [
-        Vec::with_capacity(ek_cap * ep_cap),
-        Vec::with_capacity(ek_cap * ep_cap),
-    ];
-    let mut acc = vec![0i64; em_cap * ep_cap];
     let mut output = Matrix::zeros(m, p);
     let mut stream = StreamStats {
-        peak_scratch_elems: 2 * (em_cap * ek_cap) as u64
-            + 2 * (ek_cap * ep_cap) as u64
-            + (em_cap * ep_cap) as u64,
+        peak_scratch_elems: plan.scratch_elems(grid, m, n, p),
         tile_k: plan.tile_k(),
         ..StreamStats::default()
     };
-    let tile_k = plan.tile_k();
-    let windows = n.div_ceil(tile_k);
-    let window_bounds = |w: usize| {
-        let k0 = w * tile_k;
-        (k0, (k0 + tile_k).min(n))
-    };
-    for m0 in (0..m).step_by(grid_m) {
-        let m1 = (m0 + grid_m).min(m);
-        for p0 in (0..p).step_by(grid_p) {
-            let p1 = (p0 + grid_p).min(p);
-            let (em, ep) = (m1 - m0, p1 - p0);
-            let bank = &mut acc[..em * ep];
-            bank.fill(0);
-            let mut front = 0usize;
-            let (k0, k1) = window_bounds(0);
-            stage_tile(a, m0..m1, k0..k1, &mut a_buf[front]);
-            stage_tile(b, k0..k1, p0..p1, &mut b_buf[front]);
-            stream.tiles_staged += 2;
-            for w in 0..windows {
-                let (k0, k1) = window_bounds(w);
-                if w + 1 < windows {
-                    let (n0, n1) = window_bounds(w + 1);
-                    stage_tile(a, m0..m1, n0..n1, &mut a_buf[1 - front]);
-                    stage_tile(b, n0..n1, p0..p1, &mut b_buf[1 - front]);
-                    stream.tiles_staged += 2;
-                }
-                stream.inner_windows += 1;
-                let kw = k1 - k0;
-                let a_tile = &a_buf[front];
-                let b_tile = &b_buf[front];
-                for lt in 0..kw {
-                    let b_row = &b_tile[lt * ep..(lt + 1) * ep];
-                    for i in 0..em {
-                        let act = i64::from(a_tile[i * kw + lt]);
-                        let row = &mut bank[i * ep..(i + 1) * ep];
-                        for (slot, &wgt) in row.iter_mut().zip(b_row) {
-                            *slot += act * i64::from(wgt);
-                        }
-                    }
-                }
-                front = 1 - front;
+    StreamArena::<A>::new(grid, m, n, p, plan).stream(
+        a,
+        b,
+        (0..m, 0..p),
+        grid,
+        plan,
+        &mut output,
+        &mut stream,
+        |a_tile, b_tile, kw, bank| {
+            for (bank_row, a_row) in bank
+                .chunks_exact_mut(b_tile.len() / kw)
+                .zip(a_tile.chunks_exact(kw))
+            {
+                gemm_row(bank_row, a_row, b_tile);
             }
-            for i in 0..em {
-                let src = &bank[i * ep..(i + 1) * ep];
-                for (slot, &v) in output.row_mut(m0 + i)[p0..p1].iter_mut().zip(src) {
-                    *slot = i32::try_from(v).expect("gemm output exceeds i32");
-                }
-            }
-        }
-    }
+            Ok(())
+        },
+    )?;
     Ok((output, stream))
 }
 

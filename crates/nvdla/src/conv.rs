@@ -4,6 +4,9 @@
 //! direct convolution and im2col + GEMM lowering. Their agreement with
 //! each other and with both hardware models is enforced by tests.
 
+use std::ops::Range;
+
+use tempus_arith::dot::{self, max_magnitude, Accumulator};
 use tempus_arith::IntPrecision;
 
 use crate::cube::{DataCube, KernelSet};
@@ -150,8 +153,7 @@ fn check_channels(features: &DataCube, kernels: &KernelSet) -> Result<(), NvdlaE
 }
 
 /// Golden direct convolution: output cube of `i32` partial sums
-/// (out_w × out_h × K). Accumulation is exact in `i64` internally and
-/// must fit `i32` for the supported precisions and sizes.
+/// (out_w × out_h × K), one [`ConvRows::row`] per output row.
 ///
 /// # Errors
 ///
@@ -168,82 +170,166 @@ pub fn direct_conv(
     kernels: &KernelSet,
     params: &ConvParams,
 ) -> Result<DataCube, NvdlaError> {
-    check_channels(features, kernels)?;
-    let (out_w, out_h) =
-        params.output_dims(features.w(), features.h(), kernels.r(), kernels.s())?;
-    let mut out = DataCube::zeros(out_w, out_h, kernels.k());
-    for oy in 0..out_h {
-        for ox in 0..out_w {
-            for k in 0..kernels.k() {
-                let mut acc = 0i64;
-                for r in 0..kernels.r() {
-                    for s in 0..kernels.s() {
-                        let iy = (oy * params.stride_y + r * params.dilation_y) as isize
-                            - params.pad_y as isize;
-                        let ix = (ox * params.stride_x + s * params.dilation_x) as isize
-                            - params.pad_x as isize;
-                        for c in 0..features.c() {
-                            acc += i64::from(features.get_padded(ix, iy, c))
-                                * i64::from(kernels.get(k, r, s, c));
-                        }
-                    }
-                }
-                out.set(
-                    ox,
-                    oy,
-                    k,
-                    i32::try_from(acc).expect("accumulator exceeds i32 output"),
-                );
-            }
-        }
+    let rows = ConvRows::new(features, kernels, params)?;
+    let row_len = rows.out_w * kernels.k();
+    let mut data = vec![0; row_len * rows.out_h];
+    for (oy, row) in data.chunks_exact_mut(row_len).enumerate() {
+        rows.row(oy, row);
     }
-    Ok(out)
+    DataCube::from_vec(rows.out_w, rows.out_h, kernels.k(), data)
 }
 
-/// Computes one output row `oy` of [`direct_conv`] into `row`, laid
-/// out exactly like one y-row of the output cube (`row[x * k + kk]`,
-/// channel-minor). The fused streaming pipeline
-/// ([`crate::fused`]) calls this per row so a whole-layer run never
-/// materializes the conv cube. Accumulation order and overflow
-/// behaviour are identical to [`direct_conv`], so the values are
-/// bit-identical.
+/// A convolution prepared for row-at-a-time evaluation: shapes are
+/// validated and the accumulator lane chosen once, then
+/// [`row`](ConvRows::row) computes any output row. [`direct_conv`]
+/// loops over it, and the fused streaming pipeline ([`crate::fused`])
+/// calls it per row so a whole-layer run never materializes the conv
+/// cube.
 ///
-/// The caller validates shapes once up front ([`ConvParams::output_dims`]
-/// and channel agreement); this hot path only asserts the buffer size.
-///
-/// # Panics
-///
-/// Panics when `row` is not `out_w × k` elements long, or if an
-/// accumulated output exceeds `i32` (same condition as
-/// [`direct_conv`]).
-pub fn direct_conv_row(
-    features: &DataCube,
-    kernels: &KernelSet,
-    params: &ConvParams,
-    oy: usize,
+/// Accumulation runs in `i32` when the one-pass bound
+/// `r·s·c · max|features| · max|kernels| ≤ i32::MAX`
+/// ([`dot::fits_i32`]) proves no partial sum can overflow — always the
+/// case for INT8 and below at practical layer sizes — and in `i64`
+/// otherwise.
+#[derive(Debug, Clone, Copy)]
+pub struct ConvRows<'a> {
+    features: &'a DataCube,
+    kernels: &'a KernelSet,
+    params: &'a ConvParams,
     out_w: usize,
-    row: &mut [i32],
-) {
-    let k_dim = kernels.k();
-    assert_eq!(row.len(), out_w * k_dim, "conv row buffer size mismatch");
-    for ox in 0..out_w {
-        for k in 0..k_dim {
-            let mut acc = 0i64;
-            for r in 0..kernels.r() {
-                for s in 0..kernels.s() {
-                    let iy = (oy * params.stride_y + r * params.dilation_y) as isize
-                        - params.pad_y as isize;
-                    let ix = (ox * params.stride_x + s * params.dilation_x) as isize
-                        - params.pad_x as isize;
-                    for c in 0..features.c() {
-                        acc += i64::from(features.get_padded(ix, iy, c))
-                            * i64::from(kernels.get(k, r, s, c));
+    out_h: usize,
+    narrow: bool,
+}
+
+impl<'a> ConvRows<'a> {
+    /// Prepares `features ⊛ kernels` under `params`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NvdlaError::ChannelMismatch`] or
+    /// [`NvdlaError::EmptyOutput`] for inconsistent shapes, in that
+    /// order.
+    pub fn new(
+        features: &'a DataCube,
+        kernels: &'a KernelSet,
+        params: &'a ConvParams,
+    ) -> Result<Self, NvdlaError> {
+        check_channels(features, kernels)?;
+        let (out_w, out_h) =
+            params.output_dims(features.w(), features.h(), kernels.r(), kernels.s())?;
+        let narrow = dot::fits_i32(
+            kernels.r() * kernels.s() * kernels.c(),
+            max_magnitude(features.as_slice()),
+            max_magnitude(kernels.as_slice()),
+        );
+        Ok(ConvRows {
+            features,
+            kernels,
+            params,
+            out_w,
+            out_h,
+            narrow,
+        })
+    }
+
+    /// Output dimensions `(out_w, out_h)`.
+    #[must_use]
+    pub fn out_dims(&self) -> (usize, usize) {
+        (self.out_w, self.out_h)
+    }
+
+    /// Computes output row `oy` into `row`, laid out exactly like one
+    /// y-row of the output cube (`row[x * k + kk]`, channel-minor).
+    ///
+    /// Both operands are channel-minor, so each in-bounds (r, s) tap is
+    /// a contiguous channel slice of the cube and of the kernel set;
+    /// padded taps are skipped once per (r, s), never per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` is not `out_w × k` elements long, or with
+    /// `"accumulator exceeds i32 output"` when an output does not fit
+    /// `i32`.
+    pub fn row(&self, oy: usize, row: &mut [i32]) {
+        assert_eq!(
+            row.len(),
+            self.out_w * self.kernels.k(),
+            "conv row buffer size mismatch"
+        );
+        if self.narrow {
+            self.row_in::<i32>(oy, row);
+        } else {
+            self.row_in::<i64>(oy, row);
+        }
+    }
+
+    /// [`row`](ConvRows::row) in accumulator lane `A`. Taps adjacent in
+    /// both operands (consecutive `s` at unit dilation) merge into one
+    /// longer slice, so each output is a sum of a few contiguous dot
+    /// products.
+    fn row_in<A: Accumulator>(&self, oy: usize, row: &mut [i32]) {
+        let (p, kernels) = (self.params, self.kernels);
+        let (w, c, s_dim) = (self.features.w(), self.features.c(), kernels.s());
+        let cube = self.features.as_slice();
+        let rows = valid_taps(
+            oy,
+            p.stride_y,
+            p.dilation_y,
+            p.pad_y,
+            self.features.h(),
+            kernels.r(),
+        );
+        let kernel_len = kernels.r() * s_dim * c;
+        // (cube offset, kernel offset, length) of each contiguous tap run.
+        let mut taps: Vec<(usize, usize, usize)> = Vec::with_capacity(kernels.r() * s_dim);
+        for (ox, pixel) in row.chunks_exact_mut(kernels.k()).enumerate() {
+            taps.clear();
+            for r in rows.clone() {
+                let iy = oy * p.stride_y + r * p.dilation_y - p.pad_y;
+                for s in valid_taps(ox, p.stride_x, p.dilation_x, p.pad_x, w, s_dim) {
+                    let ix = ox * p.stride_x + s * p.dilation_x - p.pad_x;
+                    let (at, ko) = ((iy * w + ix) * c, (r * s_dim + s) * c);
+                    match taps.last_mut() {
+                        Some((f0, k0, len)) if *f0 + *len == at && *k0 + *len == ko => *len += c,
+                        _ => taps.push((at, ko, c)),
                     }
                 }
             }
-            row[ox * k_dim + k] = i32::try_from(acc).expect("accumulator exceeds i32 output");
+            for (slot, kernel) in pixel
+                .iter_mut()
+                .zip(kernels.as_slice().chunks_exact(kernel_len))
+            {
+                let mut acc = A::default();
+                for &(at, ko, len) in &taps {
+                    acc += cube[at..at + len]
+                        .iter()
+                        .zip(&kernel[ko..ko + len])
+                        .fold(A::default(), |sum, (&x, &y)| sum + A::from(x) * A::from(y));
+                }
+                *slot = acc.to_i32().expect("accumulator exceeds i32 output");
+            }
         }
     }
+}
+
+/// The kernel offsets `t` whose input coordinate
+/// `o·stride + t·dilation − pad` lands inside `0..extent` — always one
+/// contiguous range.
+fn valid_taps(
+    o: usize,
+    stride: usize,
+    dilation: usize,
+    pad: usize,
+    extent: usize,
+    taps: usize,
+) -> Range<usize> {
+    let base = o * stride;
+    let hi = (extent + pad)
+        .saturating_sub(base)
+        .div_ceil(dilation)
+        .min(taps);
+    let lo = pad.saturating_sub(base).div_ceil(dilation).min(hi);
+    lo..hi
 }
 
 /// im2col + GEMM reference: lowers the convolution to a matrix product
@@ -391,18 +477,43 @@ mod tests {
     }
 
     #[test]
+    fn kernels_wider_than_the_input_match_im2col() {
+        // A padded row of taps can cover a whole input row, so the
+        // next kernel row's taps start right after it in the cube but
+        // not in the kernel set.
+        for (w, h) in [(1usize, 3usize), (2, 3), (2, 1)] {
+            let f = DataCube::from_fn(w, h, 2, |x, y, c| (x * 5 + y * 3 + c) as i32 - 4);
+            let k = KernelSet::from_fn(3, 3, 3, 2, |k, r, s, c| (k + r * 3 + s * 7 + c) as i32 - 6);
+            for params in [ConvParams::unit_stride_same(3), ConvParams::strided(2, 2)] {
+                let a = direct_conv(&f, &k, &params).unwrap();
+                let b = im2col_conv(&f, &k, &params).unwrap();
+                assert_eq!(a, b, "{w}x{h} {params:?}");
+            }
+        }
+    }
+
+    #[test]
     fn conv_rows_reassemble_direct_conv() {
         let (f, k) = small_case();
         for params in [
             ConvParams::valid(),
             ConvParams::unit_stride_same(3),
             ConvParams::strided(2, 1),
+            ConvParams {
+                dilation_x: 2,
+                dilation_y: 2,
+                pad_x: 2,
+                pad_y: 1,
+                ..ConvParams::strided(2, 0)
+            },
         ] {
             let whole = direct_conv(&f, &k, &params).unwrap();
-            let (out_w, out_h) = params.output_dims(f.w(), f.h(), k.r(), k.s()).unwrap();
+            let rows = ConvRows::new(&f, &k, &params).unwrap();
+            let (out_w, out_h) = rows.out_dims();
+            assert_eq!((out_w, out_h), (whole.w(), whole.h()));
             let mut row = vec![0i32; out_w * k.k()];
             for oy in 0..out_h {
-                direct_conv_row(&f, &k, &params, oy, out_w, &mut row);
+                rows.row(oy, &mut row);
                 for ox in 0..out_w {
                     for kk in 0..k.k() {
                         assert_eq!(row[ox * k.k() + kk], whole.get(ox, oy, kk));

@@ -213,10 +213,7 @@ impl DataCube {
     /// Returns the first out-of-range element as an
     /// [`ArithError::OutOfRange`].
     pub fn check_precision(&self, precision: IntPrecision) -> Result<(), ArithError> {
-        for &v in &self.data {
-            precision.check(v)?;
-        }
-        Ok(())
+        precision.check_all(&self.data)
     }
 
     /// Storage footprint in bytes at `precision` (ceil to whole bytes
@@ -407,10 +404,7 @@ impl KernelSet {
     /// Returns the first out-of-range weight as an
     /// [`ArithError::OutOfRange`].
     pub fn check_precision(&self, precision: IntPrecision) -> Result<(), ArithError> {
-        for &v in &self.data {
-            precision.check(v)?;
-        }
-        Ok(())
+        precision.check_all(&self.data)
     }
 
     /// Storage footprint in bytes at `precision`.

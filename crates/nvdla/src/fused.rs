@@ -18,8 +18,8 @@
 //! count-include-pad average with ties-away rounding), and the tests
 //! pin outputs and [`SdpStats`] against the unfused pipeline.
 
-use crate::conv::{direct_conv_row, ConvParams};
-use crate::cube::{DataCube, KernelSet};
+use crate::conv::ConvRows;
+use crate::cube::DataCube;
 use crate::network::NetworkLayer;
 use crate::pdp::{PoolKind, PoolParams};
 use crate::sdp::{SdpConfig, SdpStats};
@@ -211,7 +211,7 @@ fn stream_post_conv(
 }
 
 /// Fully fused functional layer: conv rows computed on demand via
-/// [`direct_conv_row`] — the conv output cube never exists — then SDP
+/// [`ConvRows::row`] — the conv output cube never exists — then SDP
 /// and pooling streamed out of the bounded ring. Bit-identical to
 /// `direct_conv` → `sdp::apply` → `pdp::apply`.
 ///
@@ -223,22 +223,13 @@ pub fn run_layer_fused(
     input: &DataCube,
     layer: &NetworkLayer,
 ) -> Result<FusedLayerRun, NvdlaError> {
-    if input.c() != layer.kernels.c() {
-        return Err(NvdlaError::ChannelMismatch {
-            feature_c: input.c(),
-            kernel_c: layer.kernels.c(),
-        });
-    }
-    let (out_w, out_h) =
-        layer
-            .conv
-            .output_dims(input.w(), input.h(), layer.kernels.r(), layer.kernels.s())?;
-    let (kernels, params): (&KernelSet, &ConvParams) = (&layer.kernels, &layer.conv);
+    let rows = ConvRows::new(input, &layer.kernels, &layer.conv)?;
+    let (out_w, out_h) = rows.out_dims();
     stream_post_conv(
-        |y, dst| direct_conv_row(input, kernels, params, y, out_w, dst),
+        |y, dst| rows.row(y, dst),
         out_w,
         out_h,
-        kernels.k(),
+        layer.kernels.k(),
         &layer.sdp,
         layer.pool.as_ref(),
     )
@@ -272,7 +263,8 @@ pub fn fuse_post_conv(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::direct_conv;
+    use crate::conv::{direct_conv, ConvParams};
+    use crate::cube::KernelSet;
     use crate::{pdp, sdp};
     use tempus_arith::IntPrecision;
 

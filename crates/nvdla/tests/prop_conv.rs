@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tempus_arith::IntPrecision;
 use tempus_nvdla::config::NvdlaConfig;
-use tempus_nvdla::conv::{direct_conv, im2col_conv, ConvParams};
+use tempus_nvdla::conv::{direct_conv, im2col_conv, ConvParams, ConvRows};
 use tempus_nvdla::csc::{CscCommand, CscSequencer};
 use tempus_nvdla::cube::{DataCube, KernelSet};
 use tempus_nvdla::pipeline::{ConvCore, NvdlaConvCore};
@@ -34,6 +34,50 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// INT16 operands at the extremes, with stride, dilation and
+    /// padding, down to inputs narrower than the kernel (whose taps
+    /// wrap across input rows): features span the whole range, and
+    /// each kernel holds one most-negative weight among small ones. The
+    /// bound `r·s·c · 2^15 · 2^15` then exceeds `i32`, forcing the `i64`
+    /// lane, while every true output stays inside `i32`
+    /// (`2^30 + (r·s·c − 1) · 2^15 · 8 < 2^31`).
+    fn int16_extreme_case()(
+        w in 1usize..9,
+        h in 1usize..9,
+        c in 1usize..10,
+        k in 1usize..6,
+        ksize in 1usize..4,
+        stride in 1usize..3,
+        pad in 0usize..3,
+        dilation in 1usize..3,
+        seed in any::<u32>(),
+    ) -> (DataCube, KernelSet, ConvParams) {
+        let p = IntPrecision::Int16;
+        let mix = |v: usize| v.wrapping_mul(0x9e37_79b9) ^ (v >> 7) ^ seed as usize;
+        let mut features = DataCube::from_fn(w, h, c, |x, y, ch| {
+            (mix(x * 131 + y * 17 + ch * 7919) % 65536) as i32 - 32768
+        });
+        features.set(0, 0, 0, p.min_value());
+        let mut kernels = KernelSet::from_fn(k, ksize, ksize, c, |ki, r, s, ch| {
+            (mix(ki * 31 + r * 5 + s * 3 + ch * 11) % 16) as i32 - 8
+        });
+        for ki in 0..k {
+            let at = mix(ki) % (ksize * ksize * c);
+            kernels.set(ki, at / (ksize * c), at / c % ksize, at % c, p.min_value());
+        }
+        let params = ConvParams {
+            stride_x: stride,
+            stride_y: stride,
+            pad_x: pad,
+            pad_y: pad,
+            dilation_x: dilation,
+            dilation_y: dilation,
+        };
+        (features, kernels, params)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -46,6 +90,26 @@ proptest! {
             direct_conv(&f, &k, &params).unwrap(),
             im2col_conv(&f, &k, &params).unwrap()
         );
+    }
+
+    #[test]
+    fn direct_equals_im2col_at_int16_extremes((f, k, params) in int16_extreme_case()) {
+        let Ok(rows) = ConvRows::new(&f, &k, &params) else {
+            return Ok(());
+        };
+        let (out_w, out_h) = rows.out_dims();
+        let direct = direct_conv(&f, &k, &params).unwrap();
+        prop_assert_eq!(&direct, &im2col_conv(&f, &k, &params).unwrap());
+        // Row-at-a-time evaluation reassembles the same cube.
+        let mut row = vec![0i32; out_w * k.k()];
+        for oy in 0..out_h {
+            rows.row(oy, &mut row);
+            for ox in 0..out_w {
+                for kk in 0..k.k() {
+                    prop_assert_eq!(row[ox * k.k() + kk], direct.get(ox, oy, kk));
+                }
+            }
+        }
     }
 
     #[test]
@@ -155,4 +219,13 @@ fn int16_substrate_generalises() {
     let mut core = NvdlaConvCore::new(NvdlaConfig::nv_small().with_precision(p));
     let run = core.convolve(&f, &k, &params).unwrap();
     assert_eq!(run.output, golden);
+}
+
+#[test]
+#[should_panic(expected = "accumulator exceeds i32 output")]
+fn direct_conv_panics_when_an_output_exceeds_i32() {
+    // Two INT16 extreme products: 2 · 2^30 = 2^31 > i32::MAX.
+    let f = DataCube::from_fn(2, 2, 2, |_, _, _| -32768);
+    let k = KernelSet::from_fn(1, 1, 1, 2, |_, _, _, _| -32768);
+    let _ = direct_conv(&f, &k, &ConvParams::valid());
 }

@@ -597,8 +597,8 @@ impl InferenceBackend for NvdlaBackend {
             }
             JobPayload::Gemm { a, b } => {
                 let precision = self.core.config().precision;
-                check_matrix(a, precision)?;
-                check_matrix(b, precision)?;
+                precision.check_all(a.as_slice())?;
+                precision.check_all(b.as_slice())?;
                 let (shards, per_shard) = self.sharded_binary_gemm_cycles(a, b, num_arrays);
                 if let Some(cfg) = self.streaming {
                     // The binary cycle model is untouched by streaming
@@ -647,18 +647,6 @@ impl InferenceBackend for NvdlaBackend {
     fn set_streaming(&mut self, config: Option<StreamingConfig>) {
         self.streaming = config;
     }
-}
-
-fn check_matrix(
-    m: &Matrix,
-    precision: tempus_arith::IntPrecision,
-) -> Result<(), tempus_arith::ArithError> {
-    for i in 0..m.rows() {
-        for j in 0..m.cols() {
-            precision.check(m.get(i, j))?;
-        }
-    }
-    Ok(())
 }
 
 /// Fast functional backend: golden-model outputs, closed-form Tempus
@@ -740,8 +728,8 @@ impl InferenceBackend for FunctionalBackend {
                 }
             }
             JobPayload::Gemm { a, b } => {
-                check_matrix(a, self.config.base.precision)?;
-                check_matrix(b, self.config.base.precision)?;
+                self.config.base.precision.check_all(a.as_slice())?;
+                self.config.base.precision.check_all(b.as_slice())?;
                 if let Some(cfg) = self.streaming {
                     let plan = gemm_stream_plan(&self.gemm, a, b, cfg);
                     // The product streams through the bounded arena;
