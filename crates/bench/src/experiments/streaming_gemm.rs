@@ -1,8 +1,12 @@
-//! Streaming tiled GEMM on transformer-shaped workloads: the bounded
-//! double-buffered streaming path against the whole-operand
-//! materialized path, with **digest equality**, **O(tile) peak
-//! scratch** and **wall-clock parity-or-better** as the acceptance
-//! gates (`results/BENCH_streaming_gemm.json`).
+//! Streaming tiled GEMM on transformer-shaped workloads: the
+//! cycle-accurate tubGEMM engine streamed through a bounded
+//! double-buffered arena ([`TubGemm::multiply_streamed`]) against the
+//! same engine's whole-operand window ([`TubGemm::multiply`]), with
+//! **digest equality** and **O(tile) peak scratch** as the acceptance
+//! gates (`results/BENCH_streaming_gemm.json`). The wall-clock ratio
+//! is reported, not gated: on the 16×16 grid the quarter-operand
+//! budget admits the whole-operand window, so both runs do the same
+//! work.
 //!
 //! Every case is an LLM block silhouette from
 //! [`tempus_models::transformer`] (attention projection, MLP
@@ -11,15 +15,14 @@
 //! the observed arena high-water mark must equal the closed-form
 //! [`StreamPlan::peak_scratch_elems`] prediction, and that figure
 //! must not move when the operands grow — the streaming guarantee.
-//! Digests chain the functional output with the closed-form cycle
-//! model of each path, so equal digests certify both the product and
-//! the latency prediction carried over unchanged.
+//! Digests chain each run's output with its observed cycle count, so
+//! equal digests certify both the product and the latency.
 
 use std::time::Instant;
 
 use tempus_arith::IntPrecision;
 use tempus_core::gemm::{Matrix, TubGemm};
-use tempus_core::streaming::{stream_product, StreamPlan, StreamStats};
+use tempus_core::streaming::{StreamPlan, StreamStats};
 use tempus_models::transformer::{self, ProjectionKind, TransformerShape};
 use tempus_nvdla::cube::fnv1a;
 
@@ -50,19 +53,19 @@ pub struct StreamCase {
     pub peak_scratch_elems: u64,
     /// Closed-form [`StreamPlan::peak_scratch_elems`] prediction.
     pub model_scratch_elems: u64,
-    /// Modelled critical-path datapath cycles (identical across paths
-    /// by construction; reported for scale).
+    /// Simulated datapath cycles (identical across paths by
+    /// construction; reported for scale).
     pub sim_cycles: u64,
-    /// Materialized functional path wall-clock, seconds.
+    /// Whole-operand-window run wall-clock, seconds.
     pub materialized_s: f64,
-    /// Streamed functional path wall-clock, seconds.
+    /// Budget-bounded streamed run wall-clock, seconds.
     pub streamed_s: f64,
-    /// Materialized-over-streamed wall-clock multiple (≥ 1 means
-    /// streaming is not slower).
+    /// Whole-operand-over-streamed wall-clock multiple (≥ 1 means
+    /// the streamed run is not slower).
     pub speedup: f64,
-    /// Digest over output and modelled cycles, materialized path.
+    /// Digest over output and cycles, whole-operand window.
     pub materialized_digest: u64,
-    /// Digest over output and modelled cycles, streamed path.
+    /// Digest over output and cycles, streamed path.
     pub streamed_digest: u64,
 }
 
@@ -137,24 +140,22 @@ impl StreamingGemmReport {
     }
 }
 
-/// Digest of one path: output values chained with the closed-form
-/// per-shard cycle prediction.
-fn product_digest(out: &Matrix, per_shard_cycles: &[u64]) -> u64 {
+/// Digest of one path: output values chained with the run's cycles.
+fn product_digest(out: &Matrix, cycles: u64) -> u64 {
     fnv1a(
         out.as_slice()
             .iter()
             .map(|&v| u64::from(v as u32))
-            .chain(per_shard_cycles.iter().copied()),
+            .chain([cycles]),
     )
 }
 
 fn time_materialized(engine: &TubGemm, a: &Matrix, b: &Matrix, reps: usize) -> (f64, u64) {
-    let (_, per_shard_cycles) = engine.cost_profile(a, b).at(1);
     let mut digest = 0u64;
     let start = Instant::now();
     for _ in 0..reps {
-        let out = a.multiply(b).expect("gemm runs");
-        digest = product_digest(&out, &per_shard_cycles);
+        let run = engine.multiply(a, b).expect("gemm runs");
+        digest = product_digest(&run.output, run.stats.cycles);
     }
     (start.elapsed().as_secs_f64(), digest)
 }
@@ -165,18 +166,18 @@ fn time_streamed(
     b: &Matrix,
     plan: &StreamPlan,
     reps: usize,
-) -> (f64, u64, StreamStats) {
-    let model = engine.streamed_cycle_model(a, b, 1, plan);
+) -> (f64, u64, u64, StreamStats) {
     let mut digest = 0u64;
+    let mut cycles = 0u64;
     let mut stream = StreamStats::default();
     let start = Instant::now();
     for _ in 0..reps {
-        let (out, st) =
-            stream_product(a, b, (engine.grid_m(), engine.grid_p()), plan).expect("gemm runs");
-        digest = product_digest(&out, &model.per_shard_cycles);
-        stream = st;
+        let run = engine.multiply_streamed(a, b, plan).expect("gemm runs");
+        digest = product_digest(&run.output, run.stats.cycles);
+        cycles = run.stats.cycles;
+        stream = run.stream;
     }
-    (start.elapsed().as_secs_f64(), digest, stream)
+    (start.elapsed().as_secs_f64(), digest, cycles, stream)
 }
 
 /// Runs the experiment. `quick` shrinks workloads and repetitions for
@@ -209,8 +210,8 @@ pub fn run(seed: u64, quick: bool) -> StreamingGemmReport {
             let plan = StreamPlan::for_budget(&engine, m, n, p, budget_elems)
                 .expect("quarter-operand budget admits a plan on transformer shapes");
             let (materialized_s, materialized_digest) = time_materialized(&engine, &a, &b, reps);
-            let (streamed_s, streamed_digest, stream) = time_streamed(&engine, &a, &b, &plan, reps);
-            let model = engine.streamed_cycle_model(&a, &b, 1, &plan);
+            let (streamed_s, streamed_digest, sim_cycles, stream) =
+                time_streamed(&engine, &a, &b, &plan, reps);
             cases.push(StreamCase {
                 case: format!("{preset} {} {m}x{n}x{p}", kind.name()),
                 m,
@@ -220,8 +221,8 @@ pub fn run(seed: u64, quick: bool) -> StreamingGemmReport {
                 budget_elems,
                 tile_k: plan.tile_k(),
                 peak_scratch_elems: stream.peak_scratch_elems,
-                model_scratch_elems: model.peak_scratch_elems,
-                sim_cycles: model.per_shard_cycles.iter().copied().max().unwrap_or(0),
+                model_scratch_elems: plan.peak_scratch_elems(&engine, m, n, p),
+                sim_cycles,
                 materialized_s,
                 streamed_s,
                 speedup: materialized_s / streamed_s.max(1e-12),
@@ -324,8 +325,7 @@ mod tests {
     fn streamed_path_is_bit_identical_and_scratch_bounded_in_smoke_mode() {
         // The CI gate: digest equality and the O(tile) scratch bound
         // on every case. Timing is environment-dependent and not
-        // asserted here; the ≥1x wall-clock claim is validated by the
-        // full bench run (results/BENCH_streaming_gemm.json).
+        // asserted.
         let report = run(42, true);
         assert!(!report.cases.is_empty());
         for case in &report.cases {

@@ -683,9 +683,6 @@ mod tests {
             let product = a.multiply(&b).unwrap();
             let expected: Vec<i32> = oracle.iter().map(|&v| v as i32).collect();
             proptest::prop_assert_eq!(product.as_slice(), &expected[..]);
-            let plan = crate::streaming::StreamPlan::new(1 + (seed % 64) as usize);
-            let (streamed, _) = crate::streaming::stream_product(&a, &b, (4, 4), &plan).unwrap();
-            proptest::prop_assert_eq!(streamed, product);
         }
     }
 
@@ -696,11 +693,6 @@ mod tests {
         let b = Matrix::from_fn(4, 1, |t, _| if t < 2 { -32768 } else { 32767 });
         assert_eq!(multiply_oracle(&a, &b), vec![65536]);
         assert_eq!(a.multiply(&b).unwrap().get(0, 0), 65536);
-        for tile_k in [1, 4] {
-            let plan = crate::streaming::StreamPlan::new(tile_k);
-            let (streamed, _) = crate::streaming::stream_product(&a, &b, (1, 1), &plan).unwrap();
-            assert_eq!(streamed.get(0, 0), 65536, "tile_k={tile_k}");
-        }
     }
 
     #[test]

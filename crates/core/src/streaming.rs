@@ -18,18 +18,16 @@
 //! and every cycle/silence counter is computed from the same
 //! per-step operand values. Streaming is purely an
 //! execution-order/memory-footprint transform, which is why the
-//! closed-form latency model ([`TubGemm::cost_profile`])
-//! carries over to the streamed path unchanged
-//! ([`TubGemm::streamed_cycle_model`] pins this).
+//! closed-form latency model ([`TubGemm::cost_profile`]) prices every
+//! window depth, and [`StreamPlan::peak_scratch_elems`] is the arena
+//! size a functional model reports.
 
 use std::ops::Range;
 
-use tempus_arith::dot::{self, max_magnitude, Accumulator};
 use tempus_arith::{ArithError, TwosUnaryStream};
 
 use crate::gemm::{flush_row, gemm_row, GemmStats, Matrix, ShardedGemmRun, TubGemm};
 use crate::shard::GemmAxis;
-use crate::shard::GemmShardPlan;
 
 /// Inner-dimension tiling plan for a streamed GEMM: how many inner
 /// (`k`) steps are staged per window. The output-tile dimensions are
@@ -67,12 +65,8 @@ impl StreamPlan {
     /// size** — that is the streaming guarantee.
     #[must_use]
     pub fn peak_scratch_elems(&self, engine: &TubGemm, m: usize, n: usize, p: usize) -> u64 {
-        self.scratch_elems((engine.grid_m(), engine.grid_p()), m, n, p)
-    }
-
-    fn scratch_elems(&self, (grid_m, grid_p): (usize, usize), m: usize, n: usize, p: usize) -> u64 {
-        let em = grid_m.min(m) as u64;
-        let ep = grid_p.min(p) as u64;
+        let em = engine.grid_m().min(m) as u64;
+        let ep = engine.grid_p().min(p) as u64;
         let ek = self.tile_k.min(n) as u64;
         2 * em * ek + 2 * ek * ep + em * ep
     }
@@ -163,33 +157,16 @@ pub struct StreamedShardedGemmRun {
     pub stream: StreamStats,
 }
 
-/// Closed-form prediction for a streamed (possibly sharded) GEMM:
-/// double buffering hides staging, so the predicted cycles are the
-/// materialized model's own — extended with the peak-scratch figure
-/// the admission layer budgets against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamedGemmModel {
-    /// The shard plan the prediction models.
-    pub plan: GemmShardPlan,
-    /// Predicted cycles per shard — identical to
-    /// [`TubGemm::cost_profile`] and therefore to the streamed
-    /// simulation.
-    pub per_shard_cycles: Vec<u64>,
-    /// Predicted peak scratch, equal to the streamed run's observed
-    /// high-water mark.
-    pub peak_scratch_elems: u64,
-}
-
 /// Reused staging state: double-buffered operand tiles and the
 /// tile-local accumulator bank — allocated once per run, reused across
 /// every tile pass and window.
-struct StreamArena<A> {
+struct StreamArena {
     a_buf: [Vec<i32>; 2],
     b_buf: [Vec<i32>; 2],
-    acc: Vec<A>,
+    acc: Vec<i64>,
 }
 
-impl<A: Accumulator> StreamArena<A> {
+impl StreamArena {
     fn new(
         (grid_m, grid_p): (usize, usize),
         m: usize,
@@ -201,7 +178,7 @@ impl<A: Accumulator> StreamArena<A> {
         StreamArena {
             a_buf: [Vec::with_capacity(em * ek), Vec::with_capacity(em * ek)],
             b_buf: [Vec::with_capacity(ek * ep), Vec::with_capacity(ek * ep)],
-            acc: vec![A::default(); em * ep],
+            acc: vec![0; em * ep],
         }
     }
 
@@ -222,7 +199,7 @@ impl<A: Accumulator> StreamArena<A> {
         plan: &StreamPlan,
         output: &mut Matrix,
         stream: &mut StreamStats,
-        mut window: impl FnMut(&[i32], &[i32], usize, &mut [A]) -> Result<(), ArithError>,
+        mut window: impl FnMut(&[i32], &[i32], usize, &mut [i64]) -> Result<(), ArithError>,
     ) -> Result<u64, ArithError> {
         let (n, tile_k) = (a.cols(), plan.tile_k());
         let windows = n.div_ceil(tile_k);
@@ -234,7 +211,7 @@ impl<A: Accumulator> StreamArena<A> {
                 let p1 = (p0 + grid_p).min(p_range.end);
                 passes += 1;
                 let bank = &mut self.acc[..(m1 - m0) * (p1 - p0)];
-                bank.fill(A::default());
+                bank.fill(0);
                 stage_tile(a, m0..m1, bounds(0), &mut self.a_buf[0]);
                 stage_tile(b, bounds(0), p0..p1, &mut self.b_buf[0]);
                 stream.tiles_staged += 2;
@@ -333,7 +310,7 @@ impl TubGemm {
                 .map(|&(lo, hi)| (lo * grid.0..(hi * grid.0).min(m), 0..p))
                 .collect(),
         };
-        let mut arena = StreamArena::<i64>::new(grid, m, n, p, plan);
+        let mut arena = StreamArena::new(grid, m, n, p, plan);
         let mut output = Matrix::zeros(m, p);
         let mut stream = StreamStats {
             peak_scratch_elems: plan.peak_scratch_elems(self, m, n, p),
@@ -403,97 +380,6 @@ impl TubGemm {
             stream,
         })
     }
-
-    /// Closed-form model of the streamed (sharded) run: per-shard
-    /// cycles from [`TubGemm::cost_profile`] — double buffering
-    /// hides staging, so streamed latency equals materialized latency
-    /// exactly — plus the predicted peak scratch.
-    #[must_use]
-    pub fn streamed_cycle_model(
-        &self,
-        a: &Matrix,
-        b: &Matrix,
-        num_arrays: usize,
-        plan: &StreamPlan,
-    ) -> StreamedGemmModel {
-        let (shard_plan, per_shard_cycles) = self.cost_profile(a, b).at(num_arrays);
-        StreamedGemmModel {
-            plan: shard_plan,
-            per_shard_cycles,
-            peak_scratch_elems: plan.peak_scratch_elems(self, a.rows(), a.cols(), b.cols()),
-        }
-    }
-}
-
-/// Functional streamed product: [`Matrix::multiply`] computed through
-/// the same bounded double-buffered arena (tile dims from `grid`,
-/// window depth from `plan`). Each window runs the shared row
-/// microkernel per tile row, in the accumulator lane the same
-/// [`dot::fits_i32`] bound picks — bit-identical outputs and O(tile)
-/// peak scratch.
-///
-/// # Errors
-///
-/// Returns [`ArithError::LengthMismatch`] when inner dimensions
-/// disagree.
-///
-/// # Panics
-///
-/// Panics with `"gemm output exceeds i32"` under the same condition as
-/// [`Matrix::multiply`].
-pub fn stream_product(
-    a: &Matrix,
-    b: &Matrix,
-    grid: (usize, usize),
-    plan: &StreamPlan,
-) -> Result<(Matrix, StreamStats), ArithError> {
-    if a.cols() != b.rows() {
-        return Err(ArithError::LengthMismatch {
-            lhs: a.cols(),
-            rhs: b.rows(),
-        });
-    }
-    let grid = (grid.0.max(1), grid.1.max(1));
-    let (max_a, max_b) = (max_magnitude(a.as_slice()), max_magnitude(b.as_slice()));
-    if dot::fits_i32(a.cols(), max_a, max_b) {
-        stream_product_in::<i32>(a, b, grid, plan)
-    } else {
-        stream_product_in::<i64>(a, b, grid, plan)
-    }
-}
-
-fn stream_product_in<A: Accumulator>(
-    a: &Matrix,
-    b: &Matrix,
-    grid: (usize, usize),
-    plan: &StreamPlan,
-) -> Result<(Matrix, StreamStats), ArithError> {
-    let (m, n, p) = (a.rows(), a.cols(), b.cols());
-    let mut output = Matrix::zeros(m, p);
-    let mut stream = StreamStats {
-        peak_scratch_elems: plan.scratch_elems(grid, m, n, p),
-        tile_k: plan.tile_k(),
-        ..StreamStats::default()
-    };
-    StreamArena::<A>::new(grid, m, n, p, plan).stream(
-        a,
-        b,
-        (0..m, 0..p),
-        grid,
-        plan,
-        &mut output,
-        &mut stream,
-        |a_tile, b_tile, kw, bank| {
-            for (bank_row, a_row) in bank
-                .chunks_exact_mut(b_tile.len() / kw)
-                .zip(a_tile.chunks_exact(kw))
-            {
-                gemm_row(bank_row, a_row, b_tile);
-            }
-            Ok(())
-        },
-    )?;
-    Ok((output, stream))
 }
 
 #[cfg(test)]
@@ -561,11 +447,14 @@ mod tests {
                 streamed.run.critical_path_cycles,
                 sharded.critical_path_cycles
             );
-            // The extended model predicts the streamed run exactly.
-            let model = engine.streamed_cycle_model(&a, &b, arrays, &plan);
-            assert_eq!(model.plan, streamed.run.plan);
-            assert_eq!(model.per_shard_cycles, streamed.run.per_shard_cycles);
-            assert_eq!(model.peak_scratch_elems, streamed.stream.peak_scratch_elems);
+            // The closed forms predict the streamed run exactly.
+            let (model_plan, model_cycles) = engine.cost_profile(&a, &b).at(arrays);
+            assert_eq!(model_plan, streamed.run.plan);
+            assert_eq!(model_cycles, streamed.run.per_shard_cycles);
+            assert_eq!(
+                plan.peak_scratch_elems(&engine, m, n, p),
+                streamed.stream.peak_scratch_elems
+            );
         }
     }
 
@@ -590,20 +479,6 @@ mod tests {
         let floor = StreamPlan::min_scratch_elems(&engine, 64, 64, 64);
         assert!(StreamPlan::for_budget(&engine, 64, 64, 64, floor).is_some());
         assert!(StreamPlan::for_budget(&engine, 64, 64, 64, floor - 1).is_none());
-    }
-
-    #[test]
-    fn functional_stream_product_matches_golden() {
-        for (m, n, p, seed) in [(7usize, 9usize, 5usize, 1i32), (13, 21, 8, 4)] {
-            let (a, b) = case(m, n, p, seed);
-            let golden = a.multiply(&b).unwrap();
-            for tile_k in [1usize, 5, n] {
-                let (out, stream) =
-                    stream_product(&a, &b, (4, 4), &StreamPlan::new(tile_k)).unwrap();
-                assert_eq!(out, golden, "tile_k={tile_k}");
-                assert!(stream.peak_scratch_elems > 0);
-            }
-        }
     }
 
     #[test]

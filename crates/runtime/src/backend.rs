@@ -18,16 +18,14 @@
 use tempus_core::gemm::{Matrix, TubGemm};
 use tempus_core::schedule::{CacheStats, ScheduleCache};
 use tempus_core::shard::{self, ShardAccum};
-use tempus_core::streaming::{self, StreamPlan};
+use tempus_core::streaming::StreamPlan;
 use tempus_core::{TempusConfig, TempusCore};
 use tempus_nvdla::config::NvdlaConfig;
 use tempus_nvdla::conv::direct_conv;
 use tempus_nvdla::cube::DataCube;
 use tempus_nvdla::fused;
-use tempus_nvdla::network::{run_network, NetworkLayer};
-use tempus_nvdla::pdp;
+use tempus_nvdla::network::NetworkLayer;
 use tempus_nvdla::pipeline::{ConvCore, NvdlaConvCore};
-use tempus_nvdla::sdp;
 
 use crate::error::RuntimeError;
 use crate::job::{Job, JobOutput, JobPayload};
@@ -64,10 +62,10 @@ pub struct Execution {
     /// on the cycle-accurate Tempus conv paths, where the PCU
     /// actually streams windows.
     pub window_cycles: u64,
-    /// Peak streaming-scratch high-water mark in elements — non-zero
-    /// only when the backend executed the job in streaming mode
-    /// (bounded tile arena for GEMMs, fused per-row ring for
-    /// networks). 0 on materialized runs.
+    /// Peak scratch high-water mark in elements: the GEMM tile arena
+    /// or the widest fused per-row ring of a network. The Tempus
+    /// backend observes it; the functional and NVDLA backends report
+    /// the same closed form. 0 on conv jobs, which stage nothing.
     pub peak_scratch_elems: u64,
 }
 
@@ -95,7 +93,7 @@ impl Execution {
         self
     }
 
-    /// Attaches the streaming-scratch high-water mark (builder style).
+    /// Attaches the scratch high-water mark (builder style).
     #[must_use]
     pub fn with_peak_scratch(mut self, peak_scratch_elems: u64) -> Self {
         self.peak_scratch_elems = peak_scratch_elems;
@@ -103,35 +101,34 @@ impl Execution {
     }
 }
 
-/// Streaming-execution knobs threaded to every worker backend.
-///
-/// With streaming enabled, GEMM jobs run through the bounded
-/// double-buffered tile arena ([`tempus_core::streaming`]) and network
-/// jobs fuse conv → SDP → pool per output row
-/// ([`tempus_nvdla::fused`]) — bit-identical outputs and cycles, with
-/// the peak-scratch high-water mark surfaced on [`Execution`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StreamingConfig {
-    /// Optional scratch-arena budget in elements for streamed GEMMs.
-    /// `None` lets each backend pick its default window depth (the
-    /// wider PE-grid edge). A budget below the one-step-window floor
-    /// clamps to the floor — the honest peak is still reported, and
-    /// budget *enforcement* is the admission layer's job.
-    pub scratch_budget_elems: Option<u64>,
-}
-
-/// The one place a streamed GEMM picks its window depth, shared by
-/// all backends so they cannot drift: the deepest plan fitting the
-/// budget when one is set (clamped to the one-step floor when even
-/// that does not fit), otherwise the wider PE-grid edge.
-fn gemm_stream_plan(engine: &TubGemm, a: &Matrix, b: &Matrix, cfg: StreamingConfig) -> StreamPlan {
+/// The one place a GEMM picks its window depth, shared by all
+/// backends so they cannot drift: under a scratch budget, the deepest
+/// plan fitting it (clamped to the one-step floor when even that does
+/// not fit — the honest peak is still reported, and budget
+/// *enforcement* is the admission layer's job); without one, the
+/// whole operand in one window.
+fn gemm_stream_plan(engine: &TubGemm, a: &Matrix, b: &Matrix, budget: Option<u64>) -> StreamPlan {
     let (m, n, p) = (a.rows(), a.cols(), b.cols());
-    match cfg.scratch_budget_elems {
+    match budget {
         Some(budget) => {
             StreamPlan::for_budget(engine, m, n, p, budget).unwrap_or_else(|| StreamPlan::new(1))
         }
-        None => StreamPlan::new(engine.grid_m().max(engine.grid_p()).min(n.max(1))),
+        None => StreamPlan::new(n.max(1)),
     }
+}
+
+/// The functional GEMM shared by the functional and NVDLA backends:
+/// the product through [`Matrix::multiply`] and the peak scratch the
+/// Tempus backend's arena would observe under the same plan.
+fn modelled_gemm(
+    engine: &TubGemm,
+    a: &Matrix,
+    b: &Matrix,
+    budget: Option<u64>,
+) -> Result<(Matrix, u64), RuntimeError> {
+    let plan = gemm_stream_plan(engine, a, b, budget);
+    let scratch = plan.peak_scratch_elems(engine, a.rows(), a.cols(), b.cols());
+    Ok((a.multiply(b)?, scratch))
 }
 
 /// The pluggable backend contract: every worker owns one instance
@@ -162,14 +159,6 @@ pub trait InferenceBackend: Send {
     fn cache_stats(&self) -> Option<CacheStats> {
         None
     }
-
-    /// Switches the backend into (or out of) streaming execution.
-    /// The contract: outputs and every modelled cycle figure are
-    /// bit-identical to materialized execution — streaming changes
-    /// only the memory shape, surfaced as
-    /// [`Execution::peak_scratch_elems`]. The default ignores the
-    /// request (for backends with nothing to stream).
-    fn set_streaming(&mut self, _config: Option<StreamingConfig>) {}
 }
 
 /// The one place a sharded single-layer run (conv or GEMM, any
@@ -248,7 +237,9 @@ impl BackendKind {
     }
 
     /// Builds one worker-owned backend instance modelling a DLA with
-    /// `num_arrays` PE arrays.
+    /// `num_arrays` PE arrays whose GEMMs stage through at most
+    /// `scratch_budget_elems` of scratch (`None`: whole-operand
+    /// windows).
     #[must_use]
     pub fn instantiate(
         self,
@@ -256,36 +247,44 @@ impl BackendKind {
         nvdla: NvdlaConfig,
         gemm_grid: (usize, usize),
         num_arrays: usize,
+        scratch_budget_elems: Option<u64>,
     ) -> Box<dyn InferenceBackend> {
         match self {
-            BackendKind::TempusCycleAccurate => {
-                Box::new(TempusBackend::new(tempus, gemm_grid).with_arrays(num_arrays))
-            }
-            BackendKind::NvdlaCycleAccurate => {
-                Box::new(NvdlaBackend::new(nvdla, gemm_grid).with_arrays(num_arrays))
-            }
-            BackendKind::FastFunctional => {
-                Box::new(FunctionalBackend::new(tempus, gemm_grid).with_arrays(num_arrays))
-            }
+            BackendKind::TempusCycleAccurate => Box::new(TempusBackend {
+                scratch_budget_elems,
+                ..TempusBackend::new(tempus, gemm_grid).with_arrays(num_arrays)
+            }),
+            BackendKind::NvdlaCycleAccurate => Box::new(NvdlaBackend {
+                scratch_budget_elems,
+                ..NvdlaBackend::new(nvdla, gemm_grid).with_arrays(num_arrays)
+            }),
+            BackendKind::FastFunctional => Box::new(FunctionalBackend {
+                scratch_budget_elems,
+                ..FunctionalBackend::new(tempus, gemm_grid).with_arrays(num_arrays)
+            }),
         }
     }
 }
 
-/// Executes a whole network on a multi-array core: every layer is
-/// sharded across the arrays, the job's latency is the sum of
-/// per-layer critical paths, and shard occupancy/balance accumulate
-/// across layers. Mirrors [`run_network`]'s SDP/PDP post-processing
-/// exactly.
-fn run_network_sharded<C: ConvCore>(
+/// Executes a whole network on a cycle-accurate core, shared by the
+/// Tempus and NVDLA backends: each layer's convolution runs on the
+/// core, sharded across `num_arrays`, then SDP and pooling fuse per
+/// conv output row through the bounded ring, never materializing the
+/// intermediate requantized cube. Bit-identical to
+/// [`tempus_nvdla::network::run_network`], the materialized oracle.
+/// Latency is the sum of per-layer critical paths; the peak scratch
+/// is the widest fused ring.
+fn network_on_core<C: ConvCore>(
     core: &mut C,
     input: &DataCube,
     layers: &[NetworkLayer],
     num_arrays: usize,
-) -> Result<(DataCube, u64, u64, ShardAccum), RuntimeError> {
+) -> Result<Execution, RuntimeError> {
     let mut x = input.clone();
     let mut critical = 0u64;
     let mut total_array = 0u64;
     let mut accum = ShardAccum::new();
+    let mut peak_scratch = 0u64;
     for layer in layers {
         let run = shard::convolve_sharded_with(
             core,
@@ -298,59 +297,11 @@ fn run_network_sharded<C: ConvCore>(
         critical += run.critical_path_cycles;
         total_array += run.stats.cycles;
         accum.add(&run.per_shard_cycles());
-        let (requant, _) = sdp::apply(&run.output, &layer.sdp)?;
-        x = match &layer.pool {
-            Some(pool) => pdp::apply(&requant, pool)?,
-            None => requant,
-        };
-    }
-    Ok((x, critical, total_array, accum))
-}
-
-/// The streamed counterpart of [`run_network_sharded`] (and of the
-/// single-array [`run_network`] loop): convolution runs unchanged on
-/// the cycle-accurate core — streaming does not touch the conv
-/// datapath, so cycles are identical — but SDP and pooling fuse per
-/// conv output row through the bounded ring, never materializing the
-/// intermediate requantized cube. Returns the network output, the
-/// critical-path and array-cycle sums, the shard accumulator and the
-/// fused-ring peak scratch (max over layers).
-fn run_network_streamed<C: ConvCore>(
-    core: &mut C,
-    input: &DataCube,
-    layers: &[NetworkLayer],
-    num_arrays: usize,
-) -> Result<(DataCube, u64, u64, ShardAccum, u64), RuntimeError> {
-    let mut x = input.clone();
-    let mut critical = 0u64;
-    let mut total_array = 0u64;
-    let mut accum = ShardAccum::new();
-    let mut peak_scratch = 0u64;
-    for layer in layers {
-        let conv_out = if num_arrays > 1 {
-            let run = shard::convolve_sharded_with(
-                core,
-                &x,
-                &layer.kernels,
-                &layer.conv,
-                num_arrays,
-                |_| {},
-            )?;
-            critical += run.critical_path_cycles;
-            total_array += run.stats.cycles;
-            accum.add(&run.per_shard_cycles());
-            run.output
-        } else {
-            let run = core.convolve(&x, &layer.kernels, &layer.conv)?;
-            critical += run.stats.cycles;
-            total_array += run.stats.cycles;
-            run.output
-        };
-        let fused = fused::fuse_post_conv(&conv_out, &layer.sdp, layer.pool.as_ref())?;
+        let fused = fused::fuse_post_conv(&run.output, &layer.sdp, layer.pool.as_ref())?;
         peak_scratch = peak_scratch.max(fused.peak_scratch_elems);
         x = fused.output;
     }
-    Ok((x, critical, total_array, accum, peak_scratch))
+    Ok(network_execution(x, critical, total_array, &accum).with_peak_scratch(peak_scratch))
 }
 
 /// Cycle-accurate Tempus Core backend.
@@ -359,7 +310,7 @@ pub struct TempusBackend {
     core: TempusCore,
     gemm: TubGemm,
     num_arrays: usize,
-    streaming: Option<StreamingConfig>,
+    scratch_budget_elems: Option<u64>,
 }
 
 impl TempusBackend {
@@ -371,7 +322,7 @@ impl TempusBackend {
             gemm: TubGemm::new(grid.0, grid.1, config.base.precision),
             core: TempusCore::new(config),
             num_arrays: 1,
-            streaming: None,
+            scratch_budget_elems: None,
         }
     }
 
@@ -424,67 +375,22 @@ impl InferenceBackend for TempusBackend {
                 }
             }
             JobPayload::Gemm { a, b } => {
-                if let Some(cfg) = self.streaming {
-                    let plan = gemm_stream_plan(&self.gemm, a, b, cfg);
-                    if num_arrays > 1 {
-                        let streamed = self
-                            .gemm
-                            .multiply_sharded_streamed(a, b, num_arrays, &plan)?;
-                        Ok(sharded_execution(
-                            JobOutput::Matrix(streamed.run.output),
-                            streamed.run.plan.used_arrays(),
-                            &streamed.run.per_shard_cycles,
-                            0,
-                        )
-                        .with_peak_scratch(streamed.stream.peak_scratch_elems))
-                    } else {
-                        let run = self.gemm.multiply_streamed(a, b, &plan)?;
-                        Ok(
-                            Execution::single(JobOutput::Matrix(run.output), run.stats.cycles)
-                                .with_peak_scratch(run.stream.peak_scratch_elems),
-                        )
-                    }
-                } else if num_arrays > 1 {
-                    let run = self.gemm.multiply_sharded(a, b, num_arrays)?;
-                    Ok(sharded_execution(
-                        JobOutput::Matrix(run.output),
-                        run.plan.used_arrays(),
-                        &run.per_shard_cycles,
-                        0,
-                    ))
-                } else {
-                    let run = self.gemm.multiply(a, b)?;
-                    Ok(Execution::single(
-                        JobOutput::Matrix(run.output),
-                        run.stats.cycles,
-                    ))
-                }
+                let plan = gemm_stream_plan(&self.gemm, a, b, self.scratch_budget_elems);
+                let streamed = self
+                    .gemm
+                    .multiply_sharded_streamed(a, b, num_arrays, &plan)?;
+                Ok(sharded_execution(
+                    JobOutput::Matrix(streamed.run.output),
+                    streamed.run.plan.used_arrays(),
+                    &streamed.run.per_shard_cycles,
+                    0,
+                )
+                .with_peak_scratch(streamed.stream.peak_scratch_elems))
             }
             JobPayload::Network { input, layers } => {
-                if self.streaming.is_some() {
-                    let (output, critical, total_array, accum, peak) =
-                        run_network_streamed(&mut self.core, input, layers, num_arrays)?;
-                    Ok(if num_arrays > 1 {
-                        network_execution(output, critical, total_array, &accum)
-                    } else {
-                        Execution::single(JobOutput::Cube(output), critical)
-                    }
-                    .with_peak_scratch(peak))
-                } else if num_arrays > 1 {
-                    let (output, critical, total_array, accum) =
-                        run_network_sharded(&mut self.core, input, layers, num_arrays)?;
-                    Ok(network_execution(output, critical, total_array, &accum))
-                } else {
-                    let run = run_network(&mut self.core, input, layers)?;
-                    let cycles = run.total_cycles();
-                    Ok(Execution::single(JobOutput::Cube(run.output), cycles))
-                }
+                network_on_core(&mut self.core, input, layers, num_arrays)
             }
         }
-    }
-
-    fn set_streaming(&mut self, config: Option<StreamingConfig>) {
-        self.streaming = config;
     }
 }
 
@@ -492,20 +398,20 @@ impl InferenceBackend for TempusBackend {
 #[derive(Debug, Clone)]
 pub struct NvdlaBackend {
     core: NvdlaConvCore,
-    grid: (usize, usize),
+    gemm: TubGemm,
     num_arrays: usize,
-    streaming: Option<StreamingConfig>,
+    scratch_budget_elems: Option<u64>,
 }
 
 impl NvdlaBackend {
-    /// Creates a single-array backend.
+    /// Creates a single-array backend; GEMMs model a `grid` MAC array.
     #[must_use]
     pub fn new(config: NvdlaConfig, grid: (usize, usize)) -> Self {
         NvdlaBackend {
+            gemm: TubGemm::new(grid.0, grid.1, config.precision),
             core: NvdlaConvCore::new(config),
-            grid,
             num_arrays: 1,
-            streaming: None,
+            scratch_budget_elems: None,
         }
     }
 
@@ -519,8 +425,8 @@ impl NvdlaBackend {
     /// Binary outer-product GEMM cycle model: one rank-1 update per
     /// cycle per grid tile (no temporal streaming).
     fn binary_gemm_cycles(&self, a: &Matrix, b: &Matrix) -> u64 {
-        let m_tiles = a.rows().div_ceil(self.grid.0) as u64;
-        let p_tiles = b.cols().div_ceil(self.grid.1) as u64;
+        let m_tiles = a.rows().div_ceil(self.gemm.grid_m()) as u64;
+        let p_tiles = b.cols().div_ceil(self.gemm.grid_p()) as u64;
         m_tiles * p_tiles * a.cols() as u64
     }
 
@@ -533,8 +439,8 @@ impl NvdlaBackend {
         b: &Matrix,
         num_arrays: usize,
     ) -> (usize, Vec<u64>) {
-        let m_tiles = a.rows().div_ceil(self.grid.0);
-        let p_tiles = b.cols().div_ceil(self.grid.1);
+        let m_tiles = a.rows().div_ceil(self.gemm.grid_m());
+        let p_tiles = b.cols().div_ceil(self.gemm.grid_p());
         let plan = shard::plan_gemm(m_tiles, p_tiles, num_arrays);
         let n = a.cols() as u64;
         let per_shard = match plan.axis {
@@ -600,52 +506,18 @@ impl InferenceBackend for NvdlaBackend {
                 precision.check_all(a.as_slice())?;
                 precision.check_all(b.as_slice())?;
                 let (shards, per_shard) = self.sharded_binary_gemm_cycles(a, b, num_arrays);
-                if let Some(cfg) = self.streaming {
-                    // The binary cycle model is untouched by streaming
-                    // (staging hides behind compute); only the product
-                    // runs through the bounded arena.
-                    let engine = TubGemm::new(self.grid.0, self.grid.1, precision);
-                    let plan = gemm_stream_plan(&engine, a, b, cfg);
-                    let (output, stream) = streaming::stream_product(a, b, self.grid, &plan)?;
-                    Ok(
-                        sharded_execution(JobOutput::Matrix(output), shards, &per_shard, 0)
-                            .with_peak_scratch(stream.peak_scratch_elems),
-                    )
-                } else {
-                    let output = a.multiply(b)?;
-                    Ok(sharded_execution(
-                        JobOutput::Matrix(output),
-                        shards,
-                        &per_shard,
-                        0,
-                    ))
-                }
+                // Staging hides behind compute, so the binary cycle
+                // model ignores the arena; only its size is reported.
+                let (output, scratch) = modelled_gemm(&self.gemm, a, b, self.scratch_budget_elems)?;
+                Ok(
+                    sharded_execution(JobOutput::Matrix(output), shards, &per_shard, 0)
+                        .with_peak_scratch(scratch),
+                )
             }
             JobPayload::Network { input, layers } => {
-                if self.streaming.is_some() {
-                    let (output, critical, total_array, accum, peak) =
-                        run_network_streamed(&mut self.core, input, layers, num_arrays)?;
-                    Ok(if num_arrays > 1 {
-                        network_execution(output, critical, total_array, &accum)
-                    } else {
-                        Execution::single(JobOutput::Cube(output), critical)
-                    }
-                    .with_peak_scratch(peak))
-                } else if num_arrays > 1 {
-                    let (output, critical, total_array, accum) =
-                        run_network_sharded(&mut self.core, input, layers, num_arrays)?;
-                    Ok(network_execution(output, critical, total_array, &accum))
-                } else {
-                    let run = run_network(&mut self.core, input, layers)?;
-                    let cycles = run.total_cycles();
-                    Ok(Execution::single(JobOutput::Cube(run.output), cycles))
-                }
+                network_on_core(&mut self.core, input, layers, num_arrays)
             }
         }
-    }
-
-    fn set_streaming(&mut self, config: Option<StreamingConfig>) {
-        self.streaming = config;
     }
 }
 
@@ -657,7 +529,7 @@ pub struct FunctionalBackend {
     gemm: TubGemm,
     cache: ScheduleCache,
     num_arrays: usize,
-    streaming: Option<StreamingConfig>,
+    scratch_budget_elems: Option<u64>,
 }
 
 impl FunctionalBackend {
@@ -669,7 +541,7 @@ impl FunctionalBackend {
             config,
             cache: ScheduleCache::new(),
             num_arrays: 1,
-            streaming: None,
+            scratch_budget_elems: None,
         }
     }
 
@@ -730,41 +602,15 @@ impl InferenceBackend for FunctionalBackend {
             JobPayload::Gemm { a, b } => {
                 self.config.base.precision.check_all(a.as_slice())?;
                 self.config.base.precision.check_all(b.as_slice())?;
-                if let Some(cfg) = self.streaming {
-                    let plan = gemm_stream_plan(&self.gemm, a, b, cfg);
-                    // The product streams through the bounded arena;
-                    // the closed-form streamed model reuses the
-                    // materialized cycle model verbatim (double
-                    // buffering hides staging), so cycles cannot
-                    // drift from the cycle-accurate backends.
-                    let (output, stream) = streaming::stream_product(
-                        a,
-                        b,
-                        (self.gemm.grid_m(), self.gemm.grid_p()),
-                        &plan,
-                    )?;
-                    let model = self.gemm.streamed_cycle_model(a, b, num_arrays, &plan);
-                    Ok(sharded_execution(
-                        JobOutput::Matrix(output),
-                        model.plan.used_arrays(),
-                        &model.per_shard_cycles,
-                        0,
-                    )
-                    .with_peak_scratch(stream.peak_scratch_elems))
-                } else {
-                    let output = a.multiply(b)?;
-                    // One closed-form window model serves both shapes: at
-                    // one array the plan is `Single` and the lone shard's
-                    // cycles equal `TubGemm::multiply`'s accounting, so
-                    // there is no separate single-array copy to drift.
-                    let (plan, per_shard) = self.gemm.cost_profile(a, b).at(num_arrays);
-                    Ok(sharded_execution(
-                        JobOutput::Matrix(output),
-                        plan.used_arrays(),
-                        &per_shard,
-                        0,
-                    ))
-                }
+                let (output, scratch) = modelled_gemm(&self.gemm, a, b, self.scratch_budget_elems)?;
+                // One closed-form window model serves every width:
+                // double buffering hides staging, so the cycles are
+                // the cycle-accurate arena's at any window depth.
+                let (plan, per_shard) = self.gemm.cost_profile(a, b).at(num_arrays);
+                Ok(
+                    sharded_execution(JobOutput::Matrix(output), plan.used_arrays(), &per_shard, 0)
+                        .with_peak_scratch(scratch),
+                )
             }
             JobPayload::Network { input, layers } => {
                 self.run_network_functional(input, layers, num_arrays)
@@ -775,21 +621,16 @@ impl InferenceBackend for FunctionalBackend {
     fn cache_stats(&self) -> Option<CacheStats> {
         Some(self.cache.stats())
     }
-
-    fn set_streaming(&mut self, config: Option<StreamingConfig>) {
-        self.streaming = config;
-    }
 }
 
 impl FunctionalBackend {
     /// Network execution mirroring
-    /// [`tempus_nvdla::network::run_network`] with the convolution
-    /// replaced by golden model + closed-form sharded latency (each
-    /// layer's memoized cost profile priced at `num_arrays`). In
-    /// streaming mode each layer runs through
+    /// [`tempus_nvdla::network::run_network`] with closed-form sharded
+    /// latency (each layer's memoized cost profile priced at
+    /// `num_arrays`). Each layer runs through
     /// [`fused::run_layer_fused`] — the conv output cube never
     /// materializes — and the fused-ring peak scratch (max over
-    /// layers) is attached; the latency is the same either way.
+    /// layers) is attached.
     fn run_network_functional(
         &mut self,
         input: &DataCube,
@@ -813,18 +654,9 @@ impl FunctionalBackend {
             critical += latency.critical_path_cycles;
             total_array += latency.total_array_cycles;
             accum.add(&latency.per_shard_cycles);
-            x = if self.streaming.is_some() {
-                let fused = fused::run_layer_fused(&x, layer)?;
-                peak_scratch = peak_scratch.max(fused.peak_scratch_elems);
-                fused.output
-            } else {
-                let conv_out = direct_conv(&x, &layer.kernels, &layer.conv)?;
-                let (requant, _) = sdp::apply(&conv_out, &layer.sdp)?;
-                match &layer.pool {
-                    Some(pool) => pdp::apply(&requant, pool)?,
-                    None => requant,
-                }
-            };
+            let fused = fused::run_layer_fused(&x, layer)?;
+            peak_scratch = peak_scratch.max(fused.peak_scratch_elems);
+            x = fused.output;
         }
         Ok(network_execution(x, critical, total_array, &accum).with_peak_scratch(peak_scratch))
     }
@@ -995,36 +827,34 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_materialized_across_backends() {
-        // Streaming is a memory-shape transform only: outputs and
-        // every modelled cycle figure are bit-identical on all three
-        // backends, single- and multi-array; only the peak-scratch
-        // figure distinguishes the runs.
-        for kind in BackendKind::ALL {
+    fn backends_report_one_scratch_figure() {
+        // Every GEMM and network execution reports its scratch: the
+        // Tempus arena observes it, the functional and NVDLA backends
+        // model the same closed form, at every width and budget
+        // (including the sub-floor 8). Outputs, cycles and shard
+        // fields agree as everywhere else.
+        for budget in [None, Some(200), Some(8)] {
             for arrays in [1usize, 3] {
-                let mut plain = kind.instantiate(
-                    TempusConfig::nv_small(),
-                    NvdlaConfig::nv_small(),
-                    (4, 4),
-                    arrays,
-                );
-                let mut streamed = kind.instantiate(
-                    TempusConfig::nv_small(),
-                    NvdlaConfig::nv_small(),
-                    (4, 4),
-                    arrays,
-                );
-                streamed.set_streaming(Some(StreamingConfig::default()));
+                let mut backends = BackendKind::ALL.map(|kind| {
+                    kind.instantiate(
+                        TempusConfig::nv_small(),
+                        NvdlaConfig::nv_small(),
+                        (4, 4),
+                        arrays,
+                        budget,
+                    )
+                });
                 for job in [gemm_job(30), network_job(31)] {
-                    let p = plain.execute(&job).unwrap();
-                    let s = streamed.execute(&job).unwrap();
-                    let tag = format!("{} {} arrays={arrays}", kind.name(), job.name);
-                    assert_eq!(p.output, s.output, "{tag}");
-                    assert_eq!(p.sim_cycles, s.sim_cycles, "{tag}");
-                    assert_eq!(p.total_array_cycles, s.total_array_cycles, "{tag}");
-                    assert_eq!(p.shards, s.shards, "{tag}");
-                    assert_eq!(p.peak_scratch_elems, 0, "{tag}");
-                    assert!(s.peak_scratch_elems > 0, "{tag}");
+                    let [t, n, f] = backends.each_mut().map(|b| b.execute(&job).unwrap());
+                    let tag = format!("{} arrays={arrays} budget={budget:?}", job.name);
+                    assert!(t.peak_scratch_elems > 0, "{tag}");
+                    for other in [&n, &f] {
+                        assert_eq!(other.output, t.output, "{tag}");
+                        assert_eq!(other.peak_scratch_elems, t.peak_scratch_elems, "{tag}");
+                    }
+                    assert_eq!(f.sim_cycles, t.sim_cycles, "{tag}");
+                    assert_eq!(f.total_array_cycles, t.total_array_cycles, "{tag}");
+                    assert_eq!(f.shards, t.shards, "{tag}");
                 }
             }
         }
@@ -1032,27 +862,29 @@ mod tests {
 
     #[test]
     fn scratch_budget_caps_streamed_gemm_arena() {
-        let mut backend = FunctionalBackend::new(TempusConfig::nv_small(), (4, 4));
-        backend.set_streaming(Some(StreamingConfig {
-            scratch_budget_elems: Some(200),
-        }));
-        let run = backend.execute(&gemm_job(40)).unwrap();
+        let with_budget = |budget| FunctionalBackend {
+            scratch_budget_elems: Some(budget),
+            ..FunctionalBackend::new(TempusConfig::nv_small(), (4, 4))
+        };
+        let run = with_budget(200).execute(&gemm_job(40)).unwrap();
         assert!(run.peak_scratch_elems > 0 && run.peak_scratch_elems <= 200);
         // An infeasible budget clamps to the one-step-window floor
         // and reports the honest (over-budget) peak; rejecting such
         // jobs is the serving layer's admission decision.
-        backend.set_streaming(Some(StreamingConfig {
-            scratch_budget_elems: Some(1),
-        }));
-        let clamped = backend.execute(&gemm_job(41)).unwrap();
+        let clamped = with_budget(1).execute(&gemm_job(41)).unwrap();
         assert!(clamped.peak_scratch_elems > 1);
     }
 
     #[test]
     fn backend_kinds_instantiate() {
         for kind in BackendKind::ALL {
-            let mut backend =
-                kind.instantiate(TempusConfig::nv_small(), NvdlaConfig::nv_small(), (4, 4), 2);
+            let mut backend = kind.instantiate(
+                TempusConfig::nv_small(),
+                NvdlaConfig::nv_small(),
+                (4, 4),
+                2,
+                None,
+            );
             let run = backend.execute(&conv_job(7)).unwrap();
             assert!(run.sim_cycles > 0);
             assert_eq!(backend.name(), kind.name());

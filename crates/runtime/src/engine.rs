@@ -23,7 +23,7 @@ use tempus_nvdla::{fused, pdp};
 
 use tempus_core::shard::WidenPolicy;
 
-use crate::backend::{BackendKind, StreamingConfig};
+use crate::backend::BackendKind;
 use crate::error::RuntimeError;
 use crate::job::{Job, JobPayload, JobResult};
 use crate::ledger::{ArrayAssignment, ArrayLedger, ArrayPolicy};
@@ -56,11 +56,12 @@ pub struct EngineConfig {
     pub nvdla: NvdlaConfig,
     /// GEMM PE-grid shape for all backends.
     pub gemm_grid: (usize, usize),
-    /// Streaming execution: `Some` routes GEMM jobs through the
-    /// bounded tile arena and network jobs through per-row fusion on
-    /// every worker backend — bit-identical outputs and cycles, with
-    /// peak scratch surfaced per job. `None` (default) materializes.
-    pub streaming: Option<StreamingConfig>,
+    /// Scratch-arena budget in elements for every worker backend:
+    /// GEMMs stage the deepest window fitting it (whole-operand
+    /// windows when `None`, the default). Outputs and cycles do not
+    /// depend on it; the serving layer's admission rejects jobs whose
+    /// smallest arena exceeds it.
+    pub scratch_budget_elems: Option<u64>,
 }
 
 impl EngineConfig {
@@ -77,16 +78,8 @@ impl EngineConfig {
             tempus: TempusConfig::paper_16x16(),
             nvdla: NvdlaConfig::paper_16x16(),
             gemm_grid: (16, 16),
-            streaming: None,
+            scratch_budget_elems: None,
         }
-    }
-
-    /// Enables streaming execution on every worker backend (builder
-    /// style).
-    #[must_use]
-    pub fn with_streaming(mut self, streaming: StreamingConfig) -> Self {
-        self.streaming = Some(streaming);
-        self
     }
 
     /// Overrides the worker count (builder style).
@@ -140,10 +133,10 @@ impl EngineConfig {
         self
     }
 
-    /// Smallest streaming-scratch arena `job` can execute under, in
-    /// elements: the one-step-`tile_k` floor of the GEMM tile arena,
-    /// or the widest per-row fused ring across a network's layers.
-    /// Conv jobs stream nothing (0). Shape errors also floor at 0 —
+    /// Smallest scratch arena `job` can execute under, in elements:
+    /// the one-step-`tile_k` floor of the GEMM tile arena, or the
+    /// widest per-row fused ring across a network's layers. Conv jobs
+    /// stage nothing (0). Shape errors also floor at 0 —
     /// admission defers to execution to surface them as the caller's
     /// job-level failure.
     #[must_use]
@@ -367,8 +360,8 @@ impl InferenceEngine {
                                 config.nvdla,
                                 config.gemm_grid,
                                 config.num_arrays,
+                                config.scratch_budget_elems,
                             );
-                            backend.set_streaming(config.streaming);
                             let mut results = Vec::with_capacity(assigned.len());
                             let mut stats = WorkerStats {
                                 worker: worker_idx,

@@ -217,9 +217,8 @@ pub struct JobResult {
     /// Window-batch cycles from `TempusStats` (cycle-accurate Tempus
     /// conv paths only).
     pub window_cycles: u64,
-    /// Peak streaming-scratch high-water mark in elements (0 on
-    /// materialized runs — non-zero only when the backend executed
-    /// the job in streaming mode).
+    /// Peak scratch high-water mark in elements: the GEMM tile arena
+    /// or the widest fused network ring (0 on conv jobs).
     pub peak_scratch_elems: u64,
 }
 

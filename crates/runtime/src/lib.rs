@@ -80,8 +80,7 @@ pub mod pool;
 pub mod stats;
 
 pub use backend::{
-    BackendKind, Execution, FunctionalBackend, InferenceBackend, NvdlaBackend, StreamingConfig,
-    TempusBackend,
+    BackendKind, Execution, FunctionalBackend, InferenceBackend, NvdlaBackend, TempusBackend,
 };
 pub use engine::{BatchReport, EngineConfig, InferenceEngine};
 pub use error::RuntimeError;

@@ -673,14 +673,13 @@ fn worker_loop(
         // missing completion would wedge its dispatch gate forever.
         let executed = {
             let backend = backends[kind_index(kind)].get_or_insert_with(|| {
-                let mut backend = kind.instantiate(
+                kind.instantiate(
                     config.tempus,
                     config.nvdla,
                     config.gemm_grid,
                     config.num_arrays,
-                );
-                backend.set_streaming(config.streaming);
-                backend
+                    config.scratch_budget_elems,
+                )
             });
             catch_unwind(AssertUnwindSafe(|| {
                 backend.execute_on(&job, assignment.granted.max(1))

@@ -85,12 +85,10 @@ pub struct AggregateStats {
     pub avg_arrays_granted: f64,
     /// Schedule-cache counters merged across workers.
     pub schedule_cache: Option<CacheStats>,
-    /// Largest per-job streaming-scratch high-water mark in elements
-    /// (0 when no job streamed) — the figure a deployment sizes its
-    /// scratch SRAM against.
+    /// Largest per-job scratch high-water mark in elements (0 for an
+    /// all-conv batch) — the figure a deployment sizes its scratch
+    /// SRAM against.
     pub peak_scratch_elems: u64,
-    /// Jobs that executed in streaming mode (non-zero peak scratch).
-    pub streamed_jobs: u64,
 }
 
 impl AggregateStats {
@@ -129,7 +127,6 @@ impl AggregateStats {
             .map(|r| r.peak_scratch_elems)
             .max()
             .unwrap_or(0);
-        let streamed_jobs = results.iter().filter(|r| r.peak_scratch_elems > 0).count() as u64;
         let device = device.unwrap_or(DeviceSummary {
             num_arrays: num_arrays.max(1),
             makespan_cycles: total_sim_cycles,
@@ -190,7 +187,6 @@ impl AggregateStats {
             },
             schedule_cache,
             peak_scratch_elems,
-            streamed_jobs,
         }
     }
 }
@@ -238,12 +234,8 @@ impl fmt::Display for AggregateStats {
                 self.total_array_wait_cycles,
             )?;
         }
-        if self.streamed_jobs > 0 {
-            write!(
-                f,
-                "; {} streamed jobs, peak scratch {} elems",
-                self.streamed_jobs, self.peak_scratch_elems,
-            )?;
+        if self.peak_scratch_elems > 0 {
+            write!(f, "; peak scratch {} elems", self.peak_scratch_elems)?;
         }
         if let Some(cs) = &self.schedule_cache {
             write!(

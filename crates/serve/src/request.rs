@@ -133,8 +133,8 @@ pub struct ServedResult {
     /// all backends agree on outputs — but the execution did not run
     /// at the requested fidelity's backend.
     pub degraded: bool,
-    /// Peak streaming-scratch high-water mark of the (original)
-    /// execution in elements; 0 on materialized runs and cache hits.
+    /// Peak scratch high-water mark of the (original) execution in
+    /// elements; 0 on conv jobs and cache hits.
     pub peak_scratch_elems: u64,
 }
 

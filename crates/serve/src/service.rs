@@ -44,7 +44,7 @@ use tempus_runtime::pool::{PoolOutcome, PoolTask, WorkerPool};
 use tempus_runtime::stats::PERIOD_NS;
 use tempus_runtime::{
     ArrayAssignment, ArrayPlanner, ArrayPolicy, BackendKind, DeviceSummary, EngineConfig,
-    GovernorPolicy, Job, JobResult, Placement, RuntimeError, StreamingConfig, WorkerStats,
+    GovernorPolicy, Job, JobResult, Placement, RuntimeError, WorkerStats,
 };
 use tempus_telemetry::{
     Clock, Counter, DeviceTimeline, PlacedSpan, Stage, Telemetry, TraceSink, TrackId,
@@ -277,35 +277,15 @@ impl ServeConfig {
         self.engine.scheduling.co_schedules()
     }
 
-    /// Enables streaming execution on every worker backend (builder
-    /// style): GEMM jobs run through the bounded tile arena, network
-    /// jobs through per-row conv → SDP → pool fusion — bit-identical
-    /// outputs and cycles, with peak scratch surfaced per response.
-    #[must_use]
-    pub fn with_streaming(mut self) -> Self {
-        self.engine
-            .streaming
-            .get_or_insert_with(StreamingConfig::default);
-        self
-    }
-
-    /// Sets the streaming-scratch arena budget in elements (builder
-    /// style; implies streaming). Streamed executions size their tile
-    /// arenas inside the budget, and scratch-aware admission rejects
-    /// jobs whose smallest possible arena still exceeds it with
-    /// [`RejectReason::ScratchBudgetExceeded`].
+    /// Sets the scratch-arena budget in elements (builder style), a
+    /// deployment setting: GEMMs size their tile arenas inside it
+    /// (outputs and cycles unchanged), and scratch-aware admission
+    /// rejects jobs whose smallest possible arena still exceeds it
+    /// with [`RejectReason::ScratchBudgetExceeded`].
     #[must_use]
     pub fn with_scratch_budget(mut self, budget_elems: u64) -> Self {
-        self.engine.streaming = Some(StreamingConfig {
-            scratch_budget_elems: Some(budget_elems),
-        });
+        self.engine.scratch_budget_elems = Some(budget_elems);
         self
-    }
-
-    /// The configured streaming mode, if any.
-    #[must_use]
-    pub fn streaming(&self) -> Option<StreamingConfig> {
-        self.engine.streaming
     }
 
     /// Overrides the ingestion-queue capacity (builder style).
@@ -1144,15 +1124,10 @@ impl Dispatcher {
         } = held;
         let job_id = job.id;
         // Scratch-aware admission: under a configured arena budget,
-        // a job whose smallest possible streaming plan still exceeds
-        // it is rejected up front — the alternative is silently
-        // overrunning the budget the deployment sized its SRAM by.
-        if let Some(budget_elems) = self
-            .config
-            .engine
-            .streaming
-            .and_then(|s| s.scratch_budget_elems)
-        {
+        // a job whose smallest possible plan still exceeds it is
+        // rejected up front — the alternative is silently overrunning
+        // the budget the deployment sized its SRAM by.
+        if let Some(budget_elems) = self.config.engine.scratch_budget_elems {
             let required_elems = self.config.engine.min_stream_scratch_elems(&job);
             if required_elems > budget_elems {
                 // A request whose answer leg already responded cannot

@@ -25,8 +25,8 @@ pub struct ArrayUse {
     pub granted: usize,
     /// Device cycles spent waiting to gather the grant.
     pub wait_cycles: u64,
-    /// Peak streaming-scratch elements of the execution (0 on
-    /// materialized runs and cache hits).
+    /// Peak scratch elements of the execution (0 on conv jobs and
+    /// cache hits).
     pub peak_scratch_elems: u64,
     /// Modelled energy of the execution, pJ (0 on cache hits and
     /// coalesced waiters — the energy was spent once, on the
@@ -242,11 +242,8 @@ pub struct ServeStats {
     /// Of the rejected, refused on the streaming scratch budget (sums
     /// the per-class splits).
     pub rejected_scratch: u64,
-    /// Completed requests whose execution streamed (non-zero peak
-    /// scratch).
-    pub streamed: u64,
-    /// Largest per-execution streaming-scratch high-water mark
-    /// observed, in elements (0 when nothing streamed).
+    /// Largest per-execution scratch high-water mark observed, in
+    /// elements (0 when only convs ran).
     pub peak_scratch_elems: u64,
     /// Submissions refused at the door with
     /// [`SubmitError::QueueFull`](crate::request::SubmitError) —
@@ -361,12 +358,8 @@ impl fmt::Display for ServeStats {
                 self.queue_full_refusals,
             )?;
         }
-        if self.streamed > 0 {
-            writeln!(
-                f,
-                "  streaming: {} streamed executions, peak scratch {} elems",
-                self.streamed, self.peak_scratch_elems,
-            )?;
+        if self.peak_scratch_elems > 0 {
+            writeln!(f, "  scratch: peak {} elems", self.peak_scratch_elems)?;
         }
         if self.energy_pj > 0.0 {
             writeln!(
@@ -519,7 +512,6 @@ pub(crate) struct StatsRecorder {
     rejected_admission_cap: [u64; 6],
     rejected_deadline: [u64; 6],
     rejected_scratch: [u64; 6],
-    streamed: u64,
     peak_scratch_elems: u64,
     failed: [u64; 6],
     retries: [u64; 6],
@@ -553,7 +545,6 @@ impl StatsRecorder {
             rejected_admission_cap: [0; 6],
             rejected_deadline: [0; 6],
             rejected_scratch: [0; 6],
-            streamed: 0,
             peak_scratch_elems: 0,
             failed: [0; 6],
             retries: [0; 6],
@@ -646,14 +637,10 @@ impl StatsRecorder {
         self.static_energy_sum_pj[class_index] += arrays.static_energy_pj;
     }
 
-    /// Folds one execution's streaming-scratch high-water mark into
-    /// the streamed-count and peak gauges (0 — a materialized run or
-    /// cache hit — leaves both untouched).
+    /// Folds one execution's scratch high-water mark into the peak
+    /// gauge.
     fn observe_scratch(&mut self, peak_scratch_elems: u64) {
-        if peak_scratch_elems > 0 {
-            self.streamed += 1;
-            self.peak_scratch_elems = self.peak_scratch_elems.max(peak_scratch_elems);
-        }
+        self.peak_scratch_elems = self.peak_scratch_elems.max(peak_scratch_elems);
     }
 
     /// Records a rejection under its reason, so the snapshot's named
@@ -759,7 +746,6 @@ impl StatsRecorder {
             rejected_admission_cap: classes.iter().map(|c| c.rejected_admission_cap).sum(),
             rejected_deadline: classes.iter().map(|c| c.rejected_deadline).sum(),
             rejected_scratch: classes.iter().map(|c| c.rejected_scratch).sum(),
-            streamed: self.streamed,
             peak_scratch_elems: self.peak_scratch_elems,
             queue_full_refusals: self.queue_full_refusals,
             failed: classes.iter().map(|c| c.failed).sum(),
@@ -889,8 +875,7 @@ mod tests {
         assert!((snap.avg_shard_utilization - 0.9).abs() < 1e-12);
         assert!((c.arrays_granted - 3.0).abs() < 1e-12);
         assert!((c.avg_array_wait_cycles - 40.0).abs() < 1e-12);
-        // All three executions streamed with a 96-element peak.
-        assert_eq!(snap.streamed, 3);
+        // Every execution reported a 96-element peak.
         assert_eq!(snap.peak_scratch_elems, 96);
         // Energy sums whatever the dispatcher attributes per
         // completion (it zeroes coalesced/cached energy itself; here

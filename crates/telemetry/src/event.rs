@@ -102,7 +102,7 @@ pub enum Stage {
     /// Wall instant: the pool respawned a dead worker (`id` = worker
     /// index).
     Respawn,
-    /// Counter sample: peak streaming-scratch elements of a streamed
+    /// Counter sample: peak scratch elements of a GEMM or network
     /// execution (bounded tile arena / fused per-row ring).
     StreamWindow,
     /// Device instant: a device array's DVFS clock domain stepped

@@ -19,9 +19,8 @@
 //! - The [`Telemetry`] hub collects drained rings, maintains the
 //!   counter registry and per-stage duration histograms
 //!   ([`TelemetrySummary`]), and exports the merged trace as
-//!   Chrome/Perfetto `trace_event` JSON ([`TraceExport::to_perfetto_json`]),
-//!   a compact self-describing binary dump
-//!   ([`TraceExport::to_binary`]), or VCD waveforms ([`VcdSink`]).
+//!   Chrome/Perfetto `trace_event` JSON ([`TraceExport::to_perfetto_json`])
+//!   or VCD waveforms ([`VcdSink`]).
 //!
 //! Tracing never changes what the system computes: every timestamp on
 //! the device-cycle tracks comes from the deterministic ledger/backend
@@ -31,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod binary;
 pub mod event;
 pub mod hub;
 pub mod perfetto;

@@ -43,16 +43,15 @@
 //! cargo run --release --example serve_stream -- --devices 2 --chaos-seed 7
 //! ```
 //!
-//! `--streaming` runs GEMM and network jobs through the bounded
-//! double-buffered scratch arena (outputs stay bit-identical — the
-//! assertion below still holds), and mixes transformer-block GEMMs
-//! into the trace so there are LLM-shaped operands to stream.
-//! `--scratch-budget <elems>` (implies `--streaming`) additionally
-//! caps the arena: jobs whose smallest streaming plan cannot fit the
-//! budget are rejected at admission instead of ever running:
+//! Every GEMM and network execution reports its peak scratch (the
+//! double-buffered GEMM tile arena or the widest fused per-row ring).
+//! `--scratch-budget <elems>` caps the GEMM arena — outputs stay
+//! bit-identical, so the assertion below still holds — and mixes
+//! transformer-block GEMMs into the trace so there are LLM-shaped
+//! operands to stage; jobs whose smallest plan cannot fit the budget
+//! are rejected at admission instead of ever running:
 //!
 //! ```text
-//! cargo run --release --example serve_stream -- --streaming
 //! cargo run --release --example serve_stream -- --scratch-budget 4096
 //! ```
 //!
@@ -187,7 +186,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map_err(|e| format!("--scratch-budget expects an element count: {e}"))
         })
         .transpose()?;
-    let streaming = args.iter().any(|a| a == "--streaming") || scratch_budget.is_some();
     let speculative = args.iter().any(|a| a == "--speculative");
     let power_cap_mw = args
         .iter()
@@ -219,8 +217,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // co-scheduler something to pack around.
         trace_config = trace_config.with_wide_conv_fraction(0.25);
     }
-    if streaming {
-        // Give the scratch arena LLM-shaped operands to stream.
+    if scratch_budget.is_some() {
+        // Give the scratch arena LLM-shaped operands to stage.
         trace_config = trace_config.with_transformer_fraction(0.2);
     }
     let trace = generate(&trace_config);
@@ -255,12 +253,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(budget) = scratch_budget {
         serve_config = serve_config.with_scratch_budget(budget);
-        println!(
-            "streaming: bounded scratch arena, budget {budget} elems (over-budget jobs rejected)\n"
-        );
-    } else if streaming {
-        serve_config = serve_config.with_streaming();
-        println!("streaming: bounded scratch arena, unlimited budget\n");
+        println!("scratch: arena budget {budget} elems (over-budget jobs rejected)\n");
     }
     if let Some(cap_mw) = power_cap_mw {
         serve_config = serve_config.with_power_cap(cap_mw);
@@ -330,10 +323,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    if streaming {
+    if scratch_budget.is_some() {
         println!(
-            "\nstreaming: {} jobs streamed, peak scratch {} elems, {} scratch rejections",
-            final_stats.streamed, final_stats.peak_scratch_elems, final_stats.rejected_scratch,
+            "\nscratch: peak {} elems, {} scratch rejections",
+            final_stats.peak_scratch_elems, final_stats.rejected_scratch,
         );
     }
 

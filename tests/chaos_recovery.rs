@@ -247,10 +247,12 @@ fn disabled_injection_is_inert() {
     assert_eq!(stats.drain_ns, 0, "no drain wait when work finishes first");
 }
 
-/// Bounded shutdown drain: with a genuinely slow cycle-accurate job
-/// in flight and a 1 ms drain budget, shutdown must answer the
-/// straggler as failed and return — surfacing the timeout in the
-/// stats — instead of blocking on the wedged execution.
+/// Bounded shutdown drain: with a stalled job in flight and a 1 ms
+/// drain budget, shutdown must answer the straggler as failed and
+/// return — surfacing the timeout in the stats — instead of blocking
+/// on the wedged execution. The stall is structural, not a matter of
+/// host speed: every attempt is an injected stall that naps for the
+/// pool's fixed 1 s cap, far inside the 10 s watchdog.
 #[test]
 fn shutdown_drain_is_bounded_and_surfaced() {
     let quantized =
@@ -262,11 +264,13 @@ fn shutdown_drain_is_bounded_and_surfaced() {
 
     let config = ServeConfig::new()
         .with_workers(1)
+        .with_chaos(FaultPlan::new(3, 1.0).with_weights(0, 16))
+        .with_watchdog(Duration::from_secs(10))
         .with_drain_timeout(Duration::from_millis(1));
     let service = StreamingService::start(config).expect("service starts");
-    service.submit(Request::accurate(slow)).expect("submit");
+    service.submit(Request::fast(slow)).expect("submit");
     // Give the dispatcher a beat to move the job onto the pool, then
-    // pull the plug while it is mid-execution.
+    // pull the plug while it is mid-stall.
     std::thread::sleep(Duration::from_millis(30));
     let (stats, leftovers) = service.shutdown();
     assert!(stats.drain_timed_out, "the 1 ms drain bound must expire");

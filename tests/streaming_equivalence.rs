@@ -1,8 +1,12 @@
-//! Streaming equivalence: the bounded-scratch streamed path must be
-//! bit-identical to materialized execution — outputs *and* statistics
-//! — across every backend, every tile depth shape (one-step, odd,
-//! exact-divisor, whole-operand windows), transformer-shaped
-//! operands, and the serving layer's scratch-budget admission.
+//! One execution path per payload: every backend stages GEMMs through
+//! the same stream plan (the deepest window fitting the scratch budget,
+//! the whole operand without one) and fuses network layers per output
+//! row. The Tempus backend observes its scratch arena; the functional
+//! and NVDLA backends report the same figure in closed form. These
+//! tests pin that contract across every backend, width and budget, the
+//! streamed engine's bit-identity at every tile depth, the
+//! materialized network oracle, and the serving layer's scratch-budget
+//! admission.
 
 use std::time::Duration;
 
@@ -11,11 +15,18 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use tempus::arith::IntPrecision;
 use tempus::core::gemm::{Matrix, TubGemm};
-use tempus::core::streaming::{stream_product, StreamPlan};
+use tempus::core::streaming::StreamPlan;
 use tempus::models::transformer::{projection_gemm, ProjectionKind, TransformerShape};
 use tempus::models::zoo::Model;
 use tempus::models::{netbuild, QuantizedModel};
-use tempus::runtime::{BackendKind, EngineConfig, InferenceEngine, Job, StreamingConfig};
+use tempus::nvdla::config::NvdlaConfig;
+use tempus::nvdla::conv::ConvParams;
+use tempus::nvdla::cube::{DataCube, KernelSet};
+use tempus::nvdla::fused::fused_layer_scratch;
+use tempus::nvdla::network::{run_network, NetworkLayer};
+use tempus::nvdla::pdp::PoolParams;
+use tempus::nvdla::pipeline::NvdlaConvCore;
+use tempus::runtime::{BackendKind, EngineConfig, InferenceEngine, Job, JobOutput, JobPayload};
 use tempus::serve::{
     Fidelity, RejectReason, Request, ResponseOutcome, ServeConfig, StreamingService,
 };
@@ -39,10 +50,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Core contract: for random shapes and every named tile depth,
-    /// the streamed cycle-accurate run matches the materialized run
-    /// in output AND statistics, the functional streamed product
-    /// matches the golden product, and the observed arena high-water
-    /// mark equals the closed-form prediction.
+    /// the streamed cycle-accurate run matches the whole-operand run
+    /// in output AND statistics, the output equals the golden
+    /// product, and the observed arena high-water mark equals the
+    /// closed-form prediction.
     #[test]
     fn streamed_gemm_bit_identical_across_tile_depths(
         seed in any::<u64>(),
@@ -56,26 +67,55 @@ proptest! {
         let engine = TubGemm::new(4, 4, IntPrecision::Int8);
         let materialized = engine.multiply(&a, &b).unwrap();
         let golden = a.multiply(&b).unwrap();
+        prop_assert_eq!(&materialized.output, &golden);
         for tile_k in tile_depths(n) {
             let plan = StreamPlan::new(tile_k);
-            let expected_peak = plan.peak_scratch_elems(&engine, m, n, p);
             let streamed = engine.multiply_streamed(&a, &b, &plan).unwrap();
             prop_assert_eq!(&streamed.output, &materialized.output, "tile_k={}", tile_k);
             prop_assert_eq!(streamed.stats, materialized.stats, "tile_k={}", tile_k);
-            prop_assert_eq!(streamed.stream.peak_scratch_elems, expected_peak);
-            let (out, stream) = stream_product(&a, &b, (4, 4), &plan).unwrap();
-            prop_assert_eq!(&out, &golden, "functional tile_k={}", tile_k);
-            prop_assert_eq!(stream.peak_scratch_elems, expected_peak);
+            prop_assert_eq!(
+                streamed.stream.peak_scratch_elems,
+                plan.peak_scratch_elems(&engine, m, n, p)
+            );
         }
     }
 }
 
-/// Backend contract: a mixed GEMM/transformer/network batch produces
-/// bit-identical outputs and identical modelled cycles with streaming
-/// on, off, and under a clamped budget — on all three backends, which
-/// must also agree with each other.
-#[test]
-fn streamed_batches_bit_identical_across_all_three_backends() {
+/// A two-layer pooled network small enough for the cycle-accurate
+/// backends in a debug build.
+fn pooled_network(id: u64) -> Job {
+    let input = DataCube::from_fn(6, 6, 4, |x, y, c| {
+        ((x as i32 * 31 + y as i32 * 17 + c as i32 * 7) % 255) - 127
+    });
+    let k1 = KernelSet::from_fn(8, 3, 3, 4, |k, r, s, c| {
+        ((k as i32 * 13 + r as i32 * 5 + s as i32 * 3 + c as i32 * 11) % 255) - 127
+    });
+    let k2 = KernelSet::from_fn(4, 3, 3, 8, |k, r, s, c| {
+        ((k as i32 * 7 + r as i32 * 3 + s as i32 * 5 + c as i32) % 255) - 127
+    });
+    let layers = vec![
+        NetworkLayer::conv_relu(
+            "l1",
+            k1,
+            ConvParams::unit_stride_same(3),
+            6,
+            IntPrecision::Int8,
+        ),
+        NetworkLayer::conv_relu(
+            "l2",
+            k2,
+            ConvParams::unit_stride_same(3),
+            6,
+            IntPrecision::Int8,
+        )
+        .with_pool(PoolParams::max(2)),
+    ];
+    Job::network(id, "pooled-net", input, layers)
+}
+
+/// Random GEMMs, transformer projections, a zoo network prefix and a
+/// pooled two-layer network.
+fn mixed_jobs() -> Vec<Job> {
     let mut jobs = Vec::new();
     let mut id = 0u64;
     for round in 0..6u64 {
@@ -102,54 +142,115 @@ fn streamed_batches_bit_identical_across_all_three_backends() {
     let channels = netbuild::input_channels(&layers).unwrap();
     let input = netbuild::input_cube(5, 5, channels, IntPrecision::Int8, 9);
     jobs.push(Job::network(id, "net".to_string(), input, layers));
+    jobs.push(pooled_network(id + 1));
+    jobs
+}
 
+/// The materialized oracle for a network job: the output of
+/// [`run_network`] and the widest fused ring, derived from the conv
+/// output width of every layer.
+fn network_oracle(input: &DataCube, layers: &[NetworkLayer]) -> (DataCube, u64) {
+    let run = run_network(
+        &mut NvdlaConvCore::new(NvdlaConfig::paper_16x16()),
+        input,
+        layers,
+    )
+    .unwrap();
+    let (mut w, mut h) = (input.w(), input.h());
+    let mut scratch = 0u64;
+    for (layer, trace) in layers.iter().zip(&run.layers) {
+        let (conv_w, _) = layer
+            .conv
+            .output_dims(w, h, layer.kernels.r(), layer.kernels.s())
+            .unwrap();
+        scratch = scratch.max(fused_layer_scratch(
+            conv_w,
+            layer.kernels.k(),
+            layer.pool.as_ref(),
+        ));
+        (w, h) = (trace.output_shape.0, trace.output_shape.1);
+    }
+    (run.output, scratch)
+}
+
+/// Backend contract at widths {1, 3}, with no budget, a roomy budget
+/// and the sub-floor budget 8:
+/// (a) the three backends agree on outputs, and Tempus agrees with
+///     Functional on cycles and shard fields;
+/// (b) the GEMM scratch the functional and NVDLA backends model equals
+///     the Tempus arena's observed high-water mark;
+/// (c) network scratch agrees across backends and equals the widest
+///     fused ring;
+/// (d) every network output equals the materialized oracle.
+#[test]
+fn streamed_batches_bit_identical_across_all_three_backends() {
+    let jobs = mixed_jobs();
     let mut digests = Vec::new();
-    for kind in BackendKind::ALL {
-        let materialized = InferenceEngine::new(EngineConfig::new(kind).with_workers(2))
-            .unwrap()
-            .run_batch(&jobs)
-            .unwrap();
-        assert_eq!(materialized.aggregate.streamed_jobs, 0);
-        for streaming in [
-            StreamingConfig::default(),
-            // A sub-floor budget: backends clamp to the one-step
-            // window and still answer bit-identically; enforcement is
-            // the admission layer's job, not the executor's.
-            StreamingConfig {
-                scratch_budget_elems: Some(8),
-            },
-        ] {
-            let streamed = InferenceEngine::new(
-                EngineConfig::new(kind)
-                    .with_workers(2)
-                    .with_streaming(streaming),
-            )
-            .unwrap()
-            .run_batch(&jobs)
-            .unwrap();
-            assert_eq!(
-                streamed.output_digest(),
-                materialized.output_digest(),
-                "{kind:?} streamed outputs diverged ({streaming:?})"
-            );
-            assert_eq!(
-                streamed.aggregate.total_sim_cycles, materialized.aggregate.total_sim_cycles,
-                "{kind:?} streaming changed modelled latency ({streaming:?})"
-            );
-            assert!(
-                streamed.aggregate.streamed_jobs > 0,
-                "{kind:?} reported no streamed jobs"
-            );
-            assert!(
-                streamed.aggregate.peak_scratch_elems > 0,
-                "{kind:?} reported no peak scratch"
-            );
+    for arrays in [1usize, 3] {
+        for budget in [None, Some(96), Some(8)] {
+            let [tempus, nvdla, functional] = BackendKind::ALL.map(|kind| {
+                InferenceEngine::new(EngineConfig {
+                    scratch_budget_elems: budget,
+                    ..EngineConfig::new(kind).with_workers(2).with_arrays(arrays)
+                })
+                .unwrap()
+                .run_batch(&jobs)
+                .unwrap()
+            });
+            for report in [&tempus, &nvdla, &functional] {
+                digests.push(report.output_digest());
+            }
+            let rows = tempus
+                .results
+                .iter()
+                .zip(&nvdla.results)
+                .zip(&functional.results)
+                .zip(&jobs);
+            for (((t, n), f), job) in rows {
+                let tag = format!("{} arrays={arrays} budget={budget:?}", job.name);
+                assert_eq!(t.output, n.output, "{tag}");
+                assert_eq!(t.output, f.output, "{tag}");
+                assert_eq!(t.sim_cycles, f.sim_cycles, "{tag}");
+                assert_eq!(t.total_array_cycles, f.total_array_cycles, "{tag}");
+                assert_eq!(t.shards, f.shards, "{tag}");
+                assert_eq!(
+                    t.shard_utilization.to_bits(),
+                    f.shard_utilization.to_bits(),
+                    "{tag}"
+                );
+                assert!(t.peak_scratch_elems > 0, "{tag}");
+                assert_eq!(n.peak_scratch_elems, t.peak_scratch_elems, "{tag}");
+                assert_eq!(f.peak_scratch_elems, t.peak_scratch_elems, "{tag}");
+                match &job.payload {
+                    JobPayload::Gemm { a, b } => {
+                        let engine = TubGemm::new(16, 16, IntPrecision::Int8);
+                        let (m, k, p) = (a.rows(), a.cols(), b.cols());
+                        let floor = StreamPlan::min_scratch_elems(&engine, m, k, p);
+                        match budget {
+                            Some(budget) if budget >= floor => {
+                                assert!(t.peak_scratch_elems <= budget, "{tag}");
+                            }
+                            Some(_) => assert_eq!(t.peak_scratch_elems, floor, "{tag}"),
+                            None => assert_eq!(
+                                t.peak_scratch_elems,
+                                StreamPlan::new(k).peak_scratch_elems(&engine, m, k, p),
+                                "{tag}"
+                            ),
+                        }
+                    }
+                    JobPayload::Network { input, layers } => {
+                        let (output, scratch) = network_oracle(input, layers);
+                        assert_eq!(t.output, JobOutput::Cube(output), "{tag}");
+                        assert_eq!(t.peak_scratch_elems, scratch, "{tag}");
+                    }
+                    JobPayload::Conv { .. } => unreachable!("no conv jobs in the batch"),
+                }
+            }
         }
-        digests.push(materialized.output_digest());
     }
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
-        "backends disagree on the batch: {digests:?}"
+        "backends, widths or budgets disagree on the batch: {digests:?}"
     );
 }
 
@@ -190,10 +291,10 @@ fn transformer_projection_streamed_golden() {
     }
 }
 
-/// Serving contract: a streamed service answers bit-identically to a
-/// materialized one while surfacing per-request peak scratch, and a
-/// scratch budget below a job's smallest plan rejects it at admission
-/// instead of running it.
+/// Serving contract: every response carries its execution's scratch,
+/// a budget that admits the plan answers bit-identically to no budget
+/// within it, and a scratch budget below a job's smallest plan
+/// rejects it at admission instead of running it.
 #[test]
 fn serve_streams_with_scratch_accounting_and_budget_rejection() {
     let shape = TransformerShape::new(8, 32);
@@ -228,23 +329,10 @@ fn serve_streams_with_scratch_accounting_and_budget_rejection() {
         (outcomes, stats)
     };
 
-    let (materialized, _) = run(ServeConfig::new().with_workers(2));
-    let (streamed, stats) = run(ServeConfig::new().with_workers(2).with_streaming());
-    assert_eq!(stats.streamed, 4, "all four distinct jobs must stream");
+    let (unbounded, stats) = run(ServeConfig::new().with_workers(2));
+    assert_eq!(stats.completed, 4);
     assert!(stats.peak_scratch_elems > 0);
     assert_eq!(stats.rejected_scratch, 0);
-    for ((mid, mat), (sid, str_)) in materialized.iter().zip(&streamed) {
-        assert_eq!(mid, sid);
-        match (mat, str_) {
-            (ResponseOutcome::Done(m), ResponseOutcome::Done(s)) => {
-                assert_eq!(m.output.digest(), s.output.digest(), "job {mid} diverged");
-                assert_eq!(m.sim_cycles, s.sim_cycles, "job {mid} latency changed");
-                assert_eq!(m.peak_scratch_elems, 0, "materialized job {mid} scratch");
-                assert!(s.peak_scratch_elems > 0, "streamed job {sid} scratch");
-            }
-            other => panic!("job {mid} did not complete on both paths: {other:?}"),
-        }
-    }
 
     // A budget below the 8x32x32 projection's one-step floor: the job
     // must be rejected at admission, never executed.
@@ -264,13 +352,18 @@ fn serve_streams_with_scratch_accounting_and_budget_rejection() {
         }
     }
 
-    // A budget that admits the plan: completes with the honest peak.
+    // A budget that admits the plan: completes with the honest peak,
+    // inside the budget, and answers exactly as without one.
     let (admitted, roomy_stats) = run(ServeConfig::new().with_workers(1).with_scratch_budget(4096));
     assert_eq!(roomy_stats.rejected_scratch, 0);
-    assert_eq!(roomy_stats.streamed, 4);
-    for (id, outcome) in admitted {
-        match outcome {
-            ResponseOutcome::Done(result) => {
+    assert_eq!(roomy_stats.completed, 4);
+    for ((uid, free), (id, outcome)) in unbounded.iter().zip(&admitted) {
+        assert_eq!(uid, id);
+        match (free, outcome) {
+            (ResponseOutcome::Done(free), ResponseOutcome::Done(result)) => {
+                assert_eq!(free.output.digest(), result.output.digest(), "job {id}");
+                assert_eq!(free.sim_cycles, result.sim_cycles, "job {id}");
+                assert!(free.peak_scratch_elems > 0, "job {id}");
                 assert!(result.peak_scratch_elems > 0, "job {id}");
                 assert!(result.peak_scratch_elems <= 4096, "job {id}");
             }
