@@ -6,15 +6,19 @@
 //!                         │ micro-batch drain, gated on in-flight cap
 //!                         ▼
 //!                    dispatcher thread
-//!                    │  cache hit ──────────────▶ Response (no core)
-//!                    │  key in flight ──────────▶ coalesce (waiter)
-//!                    │  miss, fast ─────────────▶ WorkerPool
-//!                    │  miss, accurate ─┬─slot──▶ WorkerPool
-//!                    │                  └─full──▶ deferred (bounded)
-//!                    ▼                                │ overflow
-//!                 outcomes ──▶ cache insert ──▶ Response│
-//!                          └──▶ waiter fan-out         ▼
-//!                                                  Rejected
+//!                    │  cache hit ───────────────▶ Response (no core)
+//!                    │  key in flight ───────────▶ coalesce (waiter)
+//!                    │  accurate, cap full ──────▶ deferred ──overflow──▶ Rejected
+//!                    │                                │ slot frees: hit,
+//!                    │                                ▼ coalesce or execute
+//!                    │  miss ──────────────▶ place ──┐
+//!                    │  speculative answer leg ──────┤
+//!                    │  retry (backoff) ───▶ place ──┼──▶ launch ──▶ WorkerPool
+//!                    │  degrade ───────────▶ place ──┘                  │
+//!                    ▼                                                  │
+//!                 outcomes ◀────────────────────────────────────────────┘
+//!                    │ ok ────▶ cache insert ──▶ Response + waiter fan-out
+//!                    └ fault ─▶ retry while the budget lasts, then degrade
 //! ```
 //!
 //! One dispatcher thread owns the cache and all scheduling decisions;
@@ -38,7 +42,8 @@ use std::time::{Duration, Instant};
 
 use tempus_chaos::{FaultInjector, FaultPlan};
 use tempus_fleet::{
-    ElasticPolicy, FleetConfig, FleetEvent, FleetOutcome, FleetScheduler, FleetSummary,
+    DeadlineMiss, ElasticPolicy, FleetConfig, FleetEvent, FleetOutcome, FleetScheduler,
+    FleetSummary,
 };
 use tempus_runtime::pool::{PoolOutcome, PoolTask, WorkerPool};
 use tempus_runtime::stats::PERIOD_NS;
@@ -462,6 +467,11 @@ struct Pending {
     key: u64,
     accepted: Instant,
     dispatched: Instant,
+    /// The backend this attempt was launched on. Job ids are
+    /// caller-assigned and may collide across fidelities, so outcomes
+    /// match on (backend, attempt) — a fast outcome can never pop an
+    /// accurate record.
+    backend: BackendKind,
     /// The fleet placement the job runs under (co-scheduling only) —
     /// kept so its device-cycle spans can be recorded at completion,
     /// when the backend's per-shard cycles are known.
@@ -482,6 +492,14 @@ struct Pending {
     spec: SpecRole,
 }
 
+impl Pending {
+    /// Whether this execution occupies an accurate admission slot.
+    /// The answer leg runs functionally and takes none.
+    fn holds_accurate_slot(&self) -> bool {
+        self.class.fidelity == Fidelity::Accurate && self.spec != SpecRole::Answer
+    }
+}
+
 /// Base retry backoff in device cycles; attempt `n` waits
 /// `base << (n - 1)` cycles before its re-admission arrival, charging
 /// recovery to the modelled clock deterministically.
@@ -498,6 +516,25 @@ struct Held {
     /// this request (at deferral), so its dispatch becomes the verify
     /// leg without submitting a second answer.
     speculated: bool,
+}
+
+impl Held {
+    /// The record of this request's first attempt on `backend`,
+    /// unplaced and keeping no job copy.
+    fn pending(&self, backend: BackendKind, spec: SpecRole) -> Pending {
+        Pending {
+            class: self.class,
+            key: self.key,
+            accepted: self.accepted,
+            dispatched: Instant::now(),
+            backend,
+            placed: None,
+            job: None,
+            attempt: 0,
+            degraded: false,
+            spec,
+        }
+    }
 }
 
 /// A request coalesced onto an identical in-flight execution: it
@@ -826,10 +863,11 @@ struct Dispatcher {
     inflight_waiters: HashMap<u64, Vec<Waiter>>,
     /// Digest rendezvous for speculative pairs, keyed by (job id,
     /// cache key): whichever leg completes first deposits its output
-    /// digest; the second compares and removes. An entry therefore
+    /// digest (`None` from a degraded verify leg, which has nothing
+    /// to audit); the second compares and removes. An entry therefore
     /// also means "the client has been answered" to the verify leg's
     /// completion and failure paths.
-    spec_digests: HashMap<(u64, u64), u64>,
+    spec_digests: HashMap<(u64, u64), Option<u64>>,
     in_flight: usize,
     accurate_in_flight: usize,
     ingress_closed: bool,
@@ -959,8 +997,8 @@ impl Dispatcher {
         }
     }
 
-    /// Admits one popped request: cache lookup, then dispatch, defer
-    /// or reject.
+    /// Admits one popped request: answered without executing when it
+    /// can be, otherwise dispatched, deferred or rejected.
     fn admit(&mut self, ingest: Ingest) {
         let Ingest { request, accepted } = ingest;
         let class = request.class();
@@ -981,78 +1019,6 @@ impl Dispatcher {
                 0,
             );
         }
-        if let Some(entry) = self.cache.get(key) {
-            let total_ns = accepted.elapsed().as_nanos() as u64;
-            self.sink.instant(
-                self.dispatch_track,
-                Stage::CacheHit,
-                self.telemetry.now_ns(),
-                request.job.id,
-                0,
-            );
-            self.telemetry.count(Counter::CacheHits, 1);
-            lock_clean(&self.stats).record_completion(
-                class,
-                total_ns,
-                true,
-                ArrayUse {
-                    shards: entry.shards,
-                    utilization: entry.shard_utilization,
-                    granted: entry.arrays_granted,
-                    // A hit never touches the device, so it never
-                    // waits for arrays, allocates no scratch and
-                    // spends no new energy.
-                    wait_cycles: 0,
-                    peak_scratch_elems: 0,
-                    energy_pj: 0.0,
-                    dynamic_energy_pj: 0.0,
-                    static_energy_pj: 0.0,
-                },
-            );
-            self.respond(Response {
-                job_id: request.job.id,
-                job_name: request.job.name,
-                class,
-                outcome: ResponseOutcome::Done(ServedResult {
-                    output: entry.output,
-                    sim_cycles: entry.sim_cycles,
-                    energy_pj: entry.energy_pj,
-                    shards: entry.shards,
-                    arrays_granted: entry.arrays_granted,
-                    array_wait_cycles: 0,
-                    cache: CacheOutcome::Hit,
-                    degraded: false,
-                    peak_scratch_elems: 0,
-                }),
-                queue_ns: total_ns,
-                total_ns,
-            });
-            return;
-        }
-        // In-flight coalescing: an identical execution (same content
-        // key, same backend) is already running — attach instead of
-        // executing again. Checked before admission control so a
-        // coalesced accurate request never burns an admission slot.
-        // A full waiter list falls through to normal admission.
-        if let Some(waiters) = self.inflight_waiters.get_mut(&key) {
-            if waiters.len() < MAX_WAITERS_PER_KEY {
-                waiters.push(Waiter {
-                    job_id: request.job.id,
-                    job_name: request.job.name,
-                    class,
-                    accepted,
-                });
-                self.sink.instant(
-                    self.dispatch_track,
-                    Stage::Coalesce,
-                    self.telemetry.now_ns(),
-                    key,
-                    0,
-                );
-                self.telemetry.count(Counter::Coalesced, 1);
-                return;
-            }
-        }
         let held = Held {
             job: request.job,
             class,
@@ -1060,6 +1026,9 @@ impl Dispatcher {
             accepted,
             deadline_cycles: request.deadline_cycles,
             speculated: false,
+        };
+        let Some(mut held) = self.answer_without_executing(held) else {
+            return;
         };
         if class.fidelity == Fidelity::Accurate
             && self.accurate_in_flight >= self.config.max_accurate_in_flight
@@ -1070,35 +1039,16 @@ impl Dispatcher {
             if self.config.max_accurate_in_flight == 0
                 || self.deferred.len() >= self.config.deferred_capacity
             {
-                let total_ns = held.accepted.elapsed().as_nanos() as u64;
-                lock_clean(&self.stats)
-                    .record_rejection(class, &RejectReason::AccurateAdmissionFull);
-                self.sink.instant(
-                    self.dispatch_track,
-                    Stage::Reject,
-                    self.telemetry.now_ns(),
-                    held.job.id,
-                    0,
-                );
-                self.telemetry.count(Counter::RejectedAdmissionCap, 1);
-                self.respond(Response {
-                    job_id: held.job.id,
-                    job_name: held.job.name,
-                    class,
-                    outcome: ResponseOutcome::Rejected(RejectReason::AccurateAdmissionFull),
-                    queue_ns: total_ns,
-                    total_ns,
-                });
+                self.reject(held, RejectReason::AccurateAdmissionFull);
             } else {
-                let mut held = held;
                 // Answer-now-verify-later pays off most here: the
                 // accurate leg may park behind the admission cap for
                 // a long time, but the client hears the functional
                 // answer immediately; the deferred job verifies it
                 // whenever its slot opens.
                 if self.config.speculative {
-                    held.speculated =
-                        self.dispatch_answer_leg(held.job.clone(), class, key, accepted);
+                    let answer = held.pending(BackendKind::FastFunctional, SpecRole::Answer);
+                    held.speculated = self.launch(held.job.clone(), answer);
                 }
                 self.deferred.push_back(held);
                 lock_clean(&self.stats).observe_deferred_depth(self.deferred.len());
@@ -1108,318 +1058,316 @@ impl Dispatcher {
         self.dispatch(held);
     }
 
+    /// Answers a request without executing it when it can: from the
+    /// cache, or by coalescing onto an identical in-flight execution
+    /// (same content key, same backend). Runs before admission
+    /// control, so a coalesced accurate request never burns an
+    /// admission slot; a full waiter list falls through. Hands the
+    /// request back when it must execute.
+    fn answer_without_executing(&mut self, held: Held) -> Option<Held> {
+        if let Some(entry) = self.cache.get(held.key) {
+            let total_ns = held.accepted.elapsed().as_nanos() as u64;
+            self.sink.instant(
+                self.dispatch_track,
+                Stage::CacheHit,
+                self.telemetry.now_ns(),
+                held.job.id,
+                0,
+            );
+            self.telemetry.count(Counter::CacheHits, 1);
+            // A hit never touches the device, so it never waits for
+            // arrays, allocates no scratch and spends no new energy.
+            let arrays = ArrayUse {
+                shards: entry.shards,
+                utilization: entry.shard_utilization,
+                granted: entry.arrays_granted,
+                wait_cycles: 0,
+                peak_scratch_elems: 0,
+                energy_pj: 0.0,
+                dynamic_energy_pj: 0.0,
+                static_energy_pj: 0.0,
+            };
+            lock_clean(&self.stats).record_completion(held.class, total_ns, true, arrays);
+            self.respond(Response {
+                job_id: held.job.id,
+                job_name: held.job.name,
+                class: held.class,
+                outcome: ResponseOutcome::Done(served(entry, arrays, CacheOutcome::Hit, false)),
+                queue_ns: total_ns,
+                total_ns,
+            });
+            return None;
+        }
+        match self.inflight_waiters.get_mut(&held.key) {
+            Some(waiters) if waiters.len() < MAX_WAITERS_PER_KEY => {
+                waiters.push(Waiter {
+                    job_id: held.job.id,
+                    job_name: held.job.name,
+                    class: held.class,
+                    accepted: held.accepted,
+                });
+                self.sink.instant(
+                    self.dispatch_track,
+                    Stage::Coalesce,
+                    self.telemetry.now_ns(),
+                    held.key,
+                    0,
+                );
+                self.telemetry.count(Counter::Coalesced, 1);
+                None
+            }
+            _ => Some(held),
+        }
+    }
+
+    /// Refuses a request with `reason`. A request whose answer leg
+    /// already responded cannot be refused — the client heard a
+    /// successful answer — so it only drops its rendezvous entry and
+    /// walks away: no verify leg will run.
+    fn reject(&mut self, held: Held, reason: RejectReason) {
+        if held.speculated {
+            self.spec_digests.remove(&(held.job.id, held.key));
+            return;
+        }
+        let (counter, detail) = match reason {
+            RejectReason::AccurateAdmissionFull => (Counter::RejectedAdmissionCap, 0),
+            RejectReason::DeadlineUnattainable {
+                deadline_cycles, ..
+            } => (Counter::RejectedDeadline, deadline_cycles),
+            RejectReason::ScratchBudgetExceeded { required_elems, .. } => {
+                (Counter::RejectedScratch, required_elems)
+            }
+        };
+        let total_ns = held.accepted.elapsed().as_nanos() as u64;
+        lock_clean(&self.stats).record_rejection(held.class, &reason);
+        self.sink.instant(
+            self.dispatch_track,
+            Stage::Reject,
+            self.telemetry.now_ns(),
+            held.job.id,
+            detail,
+        );
+        self.telemetry.count(counter, 1);
+        self.respond(Response {
+            job_id: held.job.id,
+            job_name: held.job.name,
+            class: held.class,
+            outcome: ResponseOutcome::Rejected(reason),
+            queue_ns: total_ns,
+            total_ns,
+        });
+    }
+
     /// Hands a cache-missed job to the pool under an array-slot
     /// grant: cost-aware width plus device-time packing onto disjoint
     /// array sets when co-scheduling, the whole core otherwise (PR 4
     /// semantics — bit-identical results either way at equal granted
     /// widths).
     fn dispatch(&mut self, held: Held) {
-        let Held {
-            job,
-            class,
-            key,
-            accepted,
-            deadline_cycles,
-            speculated,
-        } = held;
-        let job_id = job.id;
         // Scratch-aware admission: under a configured arena budget,
         // a job whose smallest possible plan still exceeds it is
         // rejected up front — the alternative is silently overrunning
         // the budget the deployment sized its SRAM by.
         if let Some(budget_elems) = self.config.engine.scratch_budget_elems {
-            let required_elems = self.config.engine.min_stream_scratch_elems(&job);
+            let required_elems = self.config.engine.min_stream_scratch_elems(&held.job);
             if required_elems > budget_elems {
-                // A request whose answer leg already responded cannot
-                // be rejected again — the client heard a successful
-                // answer. Drop the rendezvous entry (if the answer
-                // landed) and walk away; no verify leg will run.
-                if speculated {
-                    self.spec_digests.remove(&(job_id, key));
-                    return;
-                }
                 let reason = RejectReason::ScratchBudgetExceeded {
                     required_elems,
                     budget_elems,
                 };
-                let total_ns = accepted.elapsed().as_nanos() as u64;
-                lock_clean(&self.stats).record_rejection(class, &reason);
-                self.sink.instant(
-                    self.dispatch_track,
-                    Stage::Reject,
-                    self.telemetry.now_ns(),
-                    job_id,
-                    required_elems,
-                );
-                self.telemetry.count(Counter::RejectedScratch, 1);
-                self.respond(Response {
-                    job_id,
-                    job_name: job.name,
-                    class,
-                    outcome: ResponseOutcome::Rejected(reason),
-                    queue_ns: total_ns,
-                    total_ns,
-                });
+                self.reject(held, reason);
                 return;
             }
         }
-        let backend = self.backend_for(class.fidelity);
         let admit_start = self.telemetry.now_ns();
-        let (assignment, placed) = match &mut self.planner {
-            Some(planner) => {
-                let plan = planner.plan_or_single(&job);
-                let outcome = self.fleet.admit(&plan, deadline_cycles);
-                self.lower_fleet_events(job_id);
-                match outcome {
-                    FleetOutcome::Placed(placed) => (
-                        placed.placement.assignment,
-                        Some((placed.device, placed.placement)),
-                    ),
-                    FleetOutcome::Rejected(miss) => {
-                        // Already answered speculatively: swallow the
-                        // rejection (see the scratch branch above).
-                        if speculated {
-                            self.spec_digests.remove(&(job_id, key));
-                            return;
-                        }
-                        // No device at any width meets the deadline:
-                        // reject at admission instead of timing out.
-                        let reason = RejectReason::DeadlineUnattainable {
-                            deadline_cycles: miss.deadline_cycles,
-                            best_latency_cycles: miss.best_latency_cycles,
-                        };
-                        let total_ns = accepted.elapsed().as_nanos() as u64;
-                        lock_clean(&self.stats).record_rejection(class, &reason);
-                        self.sink.instant(
-                            self.dispatch_track,
-                            Stage::Reject,
-                            self.telemetry.now_ns(),
-                            job_id,
-                            miss.deadline_cycles,
-                        );
-                        self.telemetry.count(Counter::RejectedDeadline, 1);
-                        self.respond(Response {
-                            job_id,
-                            job_name: job.name,
-                            class,
-                            outcome: ResponseOutcome::Rejected(reason),
-                            queue_ns: total_ns,
-                            total_ns,
-                        });
-                        return;
-                    }
-                }
+        let placed = match self.place(&held.job, held.deadline_cycles, None) {
+            Ok(placed) => placed,
+            Err(miss) => {
+                // No device at any width meets the deadline: reject
+                // at admission instead of timing out.
+                let reason = RejectReason::DeadlineUnattainable {
+                    deadline_cycles: miss.deadline_cycles,
+                    best_latency_cycles: miss.best_latency_cycles,
+                };
+                self.reject(held, reason);
+                return;
             }
-            None => (ArrayAssignment::full(self.config.engine.num_arrays), None),
         };
         // The admission decision span: width planning, device pick,
         // deadline check — the dispatcher-side cost of scheduling.
         if self.sink.is_enabled() {
+            let whole_core = self.config.engine.num_arrays.max(1);
+            let granted = placed
+                .as_ref()
+                .map_or(whole_core, |(_, p)| p.assignment.granted);
             let now = self.telemetry.now_ns();
             self.sink.span(
                 self.dispatch_track,
                 Stage::Admit,
                 admit_start,
                 now.saturating_sub(admit_start),
-                job_id,
-                assignment.granted as u64,
+                held.job.id,
+                granted as u64,
             );
         }
-        // Recovery needs the job back to re-execute it; fault-free
-        // configs (no injection, no watchdog) skip the clone.
-        let recoverable = self.injector.is_enabled() || self.config.watchdog.is_some();
-        let job_copy = recoverable.then(|| job.clone());
         // Answer-now-verify-later: accurate requests get a second,
         // functional-backend leg that answers the client immediately;
         // the accurate execution becomes the verify leg. A request
         // speculated at deferral already has its answer leg out.
-        let speculate =
-            !speculated && self.config.speculative && class.fidelity == Fidelity::Accurate;
-        let answer_job = speculate.then(|| job.clone());
-        let device = placed.as_ref().map_or(0, |(d, _)| *d);
-        let task = PoolTask {
-            job,
-            backend,
-            assignment,
-            device,
-            attempt: 0,
-            inject: true,
-            freq_level: placed.as_ref().map_or(0, |(_, p)| p.freq_level),
-        };
-        if self.pool.submit_routed(task).is_err() {
-            // Pool gone (only during teardown): report a failure.
-            lock_clean(&self.stats).record_failure(class);
-            let total_ns = accepted.elapsed().as_nanos() as u64;
-            self.respond(Response {
-                job_id,
-                job_name: String::new(),
-                class,
-                outcome: ResponseOutcome::Failed(RuntimeError::PoolClosed),
-                queue_ns: total_ns,
-                total_ns,
-            });
-            return;
-        }
-        // The answer leg is submitted only once the accurate leg is
-        // in flight, so a Verify record always has its sibling; if
-        // the answer submit fails (teardown), the accurate leg simply
-        // answers the client itself.
-        let spec = if speculated {
+        let speculate = !held.speculated
+            && self.config.speculative
+            && held.class.fidelity == Fidelity::Accurate;
+        let answer = speculate.then(|| {
+            let record = held.pending(BackendKind::FastFunctional, SpecRole::Answer);
+            (held.job.clone(), record)
+        });
+        let spec = if held.speculated || speculate {
             SpecRole::Verify
         } else {
-            match answer_job {
-                Some(answer) => {
-                    if self.dispatch_answer_leg(answer, class, key, accepted) {
-                        SpecRole::Verify
-                    } else {
-                        SpecRole::None
-                    }
-                }
-                None => SpecRole::None,
-            }
+            SpecRole::None
         };
-        self.pending.entry(job_id).or_default().push_back(Pending {
-            class,
-            key,
-            accepted,
-            dispatched: Instant::now(),
+        // Recovery needs the job back to re-execute it; fault-free
+        // configs (no injection, no watchdog) skip the clone.
+        let recoverable = self.injector.is_enabled() || self.config.watchdog.is_some();
+        let record = Pending {
             placed,
-            job: job_copy,
-            attempt: 0,
-            degraded: false,
-            spec,
-        });
-        self.inflight_waiters.entry(key).or_default();
-        self.in_flight += 1;
-        if class.fidelity == Fidelity::Accurate {
-            self.accurate_in_flight += 1;
+            job: recoverable.then(|| held.job.clone()),
+            ..held.pending(self.backend_for(held.class.fidelity), spec)
+        };
+        // The answer leg launches only once the verify leg is in
+        // flight, so a Verify record always has its sibling; if the
+        // answer launch fails (teardown), the verify record is
+        // downgraded and answers the client itself.
+        if self.launch(held.job, record) {
+            if let Some((job, record)) = answer {
+                self.launch(job, record);
+            }
         }
     }
 
-    /// Submits the speculative answer leg: a functional-backend
-    /// execution of the same job (injection off, nominal clock, whole
-    /// core — it models no device time, so it takes no fleet grant
-    /// and burns no accurate admission slot). Returns `false` when
-    /// the pool refused it (teardown); the verify leg then answers
-    /// normally.
-    fn dispatch_answer_leg(
+    /// Places one execution on the fleet: the width planner's plan,
+    /// then one fleet admission under `deadline_cycles`. `backoff` is
+    /// `None` for an arrival at the fleet floor (`admit`) and
+    /// `Some(cycles)` for a retry arriving that far past it
+    /// (`admit_at`) — the two measure admission latency from
+    /// different references, and elastic sizing reads that latency.
+    /// Under the all-arrays policy nothing is placed (`Ok(None)`):
+    /// every execution owns the whole core.
+    fn place(
         &mut self,
-        job: Job,
-        class: JobClass,
-        key: u64,
-        accepted: Instant,
-    ) -> bool {
+        job: &Job,
+        deadline_cycles: Option<u64>,
+        backoff: Option<u64>,
+    ) -> Result<Option<(usize, Placement)>, DeadlineMiss> {
+        let Some(planner) = &mut self.planner else {
+            return Ok(None);
+        };
+        let plan = planner.plan_or_single(job);
+        let outcome = match backoff {
+            None => self.fleet.admit(&plan, deadline_cycles),
+            Some(backoff) => {
+                let arrival = self.fleet.floor().saturating_add(backoff);
+                self.fleet.admit_at(&plan, deadline_cycles, arrival)
+            }
+        };
+        self.lower_fleet_events(job.id);
+        match outcome {
+            FleetOutcome::Placed(placed) => Ok(Some((placed.device, placed.placement))),
+            FleetOutcome::Rejected(miss) => Err(miss),
+        }
+    }
+
+    /// Starts one execution — a first attempt, a retry, a degrade or a
+    /// speculative answer leg — as `record` describes it: backend,
+    /// attempt and placement (the whole core when unplaced). A
+    /// functional fallback (a degraded attempt or an answer leg) runs
+    /// with injection off at the nominal clock. Returns `false` when
+    /// the pool refused the task (teardown only), after failing the
+    /// record like any other unrecoverable end.
+    fn launch(&mut self, job: Job, record: Pending) -> bool {
+        let fallback = record.degraded || record.spec == SpecRole::Answer;
+        let (device, assignment, level) = match &record.placed {
+            Some((device, p)) => (*device, p.assignment, p.freq_level),
+            None => (0, ArrayAssignment::full(self.config.engine.num_arrays), 0),
+        };
         let job_id = job.id;
         let task = PoolTask {
             job,
-            backend: BackendKind::FastFunctional,
-            assignment: ArrayAssignment::full(self.config.engine.num_arrays),
-            device: 0,
-            attempt: 0,
-            inject: false,
-            freq_level: 0,
+            backend: record.backend,
+            assignment,
+            device,
+            attempt: record.attempt,
+            inject: !fallback,
+            freq_level: if fallback { 0 } else { level },
         };
         if self.pool.submit_routed(task).is_err() {
+            self.fail_final(&record, job_id, &RuntimeError::PoolClosed);
             return false;
         }
-        self.pending.entry(job_id).or_default().push_back(Pending {
-            class,
-            key,
-            accepted,
-            dispatched: Instant::now(),
-            placed: None,
-            job: None,
-            attempt: 0,
-            degraded: false,
-            spec: SpecRole::Answer,
-        });
         self.in_flight += 1;
+        if record.holds_accurate_slot() {
+            self.accurate_in_flight += 1;
+        }
+        // The answer leg leaves the waiter list to its verify sibling.
+        if record.spec != SpecRole::Answer {
+            self.inflight_waiters.entry(record.key).or_default();
+        }
+        self.pending.entry(job_id).or_default().push_back(record);
         true
     }
 
     /// Matches a pool outcome back to its pending record: memoizes,
-    /// responds, frees slots. Job ids are caller-assigned and may
-    /// collide across fidelities, so the match also requires the
-    /// executing backend to agree — otherwise a fast outcome could
-    /// pop an accurate record (wrong cache key, wrong class stats,
-    /// admission cap corrupted).
+    /// responds, frees slots.
     fn complete(&mut self, outcome: PoolOutcome) {
-        let accurate_backend = self.config.accurate_backend;
         let Some(entry) = self.pending.get_mut(&outcome.job_id) else {
             return; // unreachable: every submission is recorded
         };
-        let Some(pos) = entry.iter().position(|p| {
-            // A degraded record is being answered by the functional
-            // fallback regardless of its requested fidelity, and a
-            // speculative answer leg always runs functionally.
-            let backend = if p.degraded || p.spec == SpecRole::Answer {
-                BackendKind::FastFunctional
-            } else {
-                match p.class.fidelity {
-                    Fidelity::Fast => BackendKind::FastFunctional,
-                    Fidelity::Accurate => accurate_backend,
-                }
-            };
-            backend == outcome.backend && p.attempt == outcome.attempt
-        }) else {
+        let Some(pos) = entry
+            .iter()
+            .position(|p| p.backend == outcome.backend && p.attempt == outcome.attempt)
+        else {
             // A late outcome from a superseded attempt (its retry is
             // already in flight under a higher stamp): drop it.
             return;
         };
-        let Some(mut pending) = entry.remove(pos) else {
-            return;
-        };
+        let mut pending = entry.remove(pos).expect("position is in range");
         if entry.is_empty() {
             self.pending.remove(&outcome.job_id);
         }
         self.in_flight -= 1;
-        // The answer leg never took an accurate admission slot (it
-        // runs functionally), so it must not release one either.
-        if pending.class.fidelity == Fidelity::Accurate && pending.spec != SpecRole::Answer {
+        if pending.holds_accurate_slot() {
             self.accurate_in_flight -= 1;
         }
         let queue_ns = (pending.dispatched - pending.accepted).as_nanos() as u64;
         let total_ns = pending.accepted.elapsed().as_nanos() as u64;
         match outcome.result {
-            Ok(result) => {
-                if pending.spec == SpecRole::Answer {
-                    self.complete_answer_leg(&pending, result, queue_ns, total_ns);
-                    return;
-                }
-                // The device delivered: reset its circuit breaker.
-                if let Some((device, _)) = &pending.placed {
+            Ok(result) if pending.spec == SpecRole::Answer => {
+                self.complete_answer_leg(&pending, result, queue_ns, total_ns);
+            }
+            Ok(mut result) => {
+                if let Some((device, placement)) = &pending.placed {
+                    // The device delivered: reset its circuit breaker.
                     self.fleet.report_success(*device);
-                }
-                // DVFS residency: array-cycles spent at the
-                // placement's ladder level (level 0 without a cap or
-                // governor — the counters then mirror busy cycles).
-                if let Some((_, placement)) = &pending.placed {
+                    // DVFS residency: array-cycles spent at the
+                    // placement's ladder level (level 0 without a cap or
+                    // governor — the counters then mirror busy cycles).
                     self.telemetry.count(
                         Counter::freq_residency(placement.freq_level as usize),
                         placement.arrays.len() as u64 * placement.duration_cycles,
                     );
                 }
-                // Speculative verify leg: rendezvous on the digest.
-                // If the answer leg got there first the client is
-                // already answered — this completion only closes the
-                // verification loop and publishes the durable side
-                // effects (cache, device accounting, waiter fan-out).
-                let answered = if pending.spec == SpecRole::Verify {
-                    let digest = result.output.digest();
-                    match self.spec_digests.remove(&(outcome.job_id, pending.key)) {
-                        Some(answer_digest) => {
-                            self.record_verification(answer_digest == digest);
-                            true
-                        }
-                        None => {
-                            self.spec_digests
-                                .insert((outcome.job_id, pending.key), digest);
-                            false
-                        }
-                    }
-                } else {
-                    false
-                };
+                // Speculative verify leg: if the answer leg got there
+                // first the client is already answered — this completion
+                // only closes the rendezvous and publishes the durable
+                // side effects (cache, device accounting, waiter
+                // fan-out). A degraded verify leg ran functionally: it
+                // audits nothing.
+                let answered = pending.spec == SpecRole::Verify
+                    && self.rendezvous(
+                        result.job_id,
+                        pending.key,
+                        (!pending.degraded).then(|| result.output.digest()),
+                    );
                 // Requests coalesced onto this execution share its
                 // result: waiters fan out in arrival order, then the
                 // primary.
@@ -1427,214 +1375,125 @@ impl Dispatcher {
                     .inflight_waiters
                     .remove(&pending.key)
                     .unwrap_or_default();
-                // Device-cycle spans are recorded at completion, when
-                // the backend's per-shard cycles are known: grant,
+                // Device-cycle spans are recorded at completion, when the
+                // backend's per-shard cycles are known: grant,
                 // gather-wait, per-shard busy (reduction sub-span) and
-                // idle gaps, plus the window-batch counter.
+                // idle gaps, plus the window-batch and scratch counters.
                 if self.sink.is_enabled() {
-                    match &pending.placed {
-                        Some((device, placement)) => {
-                            let span = PlacedSpan {
-                                device: *device,
-                                job_id: result.job_id,
-                                arrays: &placement.arrays,
-                                start: placement.start_cycle,
-                                duration: placement.duration_cycles,
-                                wait_cycles: placement.assignment.wait_cycles,
-                                granted: placement.assignment.granted as u64,
-                                backfilled: placement.backfilled,
-                                per_shard_cycles: &result.per_shard_cycles,
-                                reduction_cycles: result.reduction_cycles,
-                            };
-                            self.timeline.observe(&mut *self.sink, &span);
-                            if result.window_cycles > 0 {
-                                let track = self.timeline.device_track(*device);
-                                self.sink.counter(
-                                    track,
-                                    Stage::Window,
-                                    placement.finish_cycle(),
-                                    result.window_cycles,
-                                );
-                            }
-                            if result.peak_scratch_elems > 0 {
-                                let track = self.timeline.device_track(*device);
-                                self.sink.counter(
-                                    track,
-                                    Stage::StreamWindow,
-                                    placement.finish_cycle(),
-                                    result.peak_scratch_elems,
-                                );
-                            }
-                        }
+                    let serial: Vec<usize>;
+                    let (device, arrays, start, duration, backfilled) = match &pending.placed {
+                        Some((device, p)) => (
+                            *device,
+                            p.arrays.as_slice(),
+                            p.start_cycle,
+                            p.duration_cycles,
+                            p.backfilled,
+                        ),
                         None => {
                             // All-arrays policy: the core is owned
                             // serially, so synthesize the equivalent
                             // serial placement (matching the
                             // `serial_device` account below).
-                            let arrays: Vec<usize> = (0..result.arrays_granted.max(1)).collect();
+                            serial = (0..result.arrays_granted).collect();
                             let start = self.serial_device.makespan_cycles;
-                            let span = PlacedSpan {
-                                device: 0,
-                                job_id: result.job_id,
-                                arrays: &arrays,
-                                start,
-                                duration: result.sim_cycles,
-                                wait_cycles: 0,
-                                granted: result.arrays_granted as u64,
-                                backfilled: false,
-                                per_shard_cycles: &result.per_shard_cycles,
-                                reduction_cycles: result.reduction_cycles,
-                            };
-                            self.timeline.observe(&mut *self.sink, &span);
-                            if result.window_cycles > 0 {
-                                let track = self.timeline.device_track(0);
-                                self.sink.counter(
-                                    track,
-                                    Stage::Window,
-                                    start + result.sim_cycles,
-                                    result.window_cycles,
-                                );
-                            }
-                            if result.peak_scratch_elems > 0 {
-                                let track = self.timeline.device_track(0);
-                                self.sink.counter(
-                                    track,
-                                    Stage::StreamWindow,
-                                    start + result.sim_cycles,
-                                    result.peak_scratch_elems,
-                                );
-                            }
+                            (0, serial.as_slice(), start, result.sim_cycles, false)
+                        }
+                    };
+                    let span = PlacedSpan {
+                        device,
+                        job_id: result.job_id,
+                        arrays,
+                        start,
+                        duration,
+                        wait_cycles: result.array_wait_cycles,
+                        granted: result.arrays_granted as u64,
+                        backfilled,
+                        per_shard_cycles: &result.per_shard_cycles,
+                        reduction_cycles: result.reduction_cycles,
+                    };
+                    self.timeline.observe(&mut *self.sink, &span);
+                    for (stage, value) in [
+                        (Stage::Window, result.window_cycles),
+                        (Stage::StreamWindow, result.peak_scratch_elems),
+                    ] {
+                        if value > 0 {
+                            let track = self.timeline.device_track(device);
+                            self.sink.counter(track, stage, start + duration, value);
                         }
                     }
                 }
-                // Under the all-arrays policy every execution owns
-                // the whole core in turn: device time accumulates
-                // serially (order-independent sums). The co-scheduled
-                // account lives in the ledger, updated at placement.
+                // Under the all-arrays policy every execution owns the
+                // whole core in turn: device time accumulates serially
+                // (order-independent sums). The co-scheduled account
+                // lives in the ledger, updated at placement.
                 if self.planner.is_none() {
                     self.serial_device.makespan_cycles += result.sim_cycles;
                     self.serial_device.busy_cycles += result.total_array_cycles;
                     self.serial_device.placements += 1;
                     self.serial_device.granted_sum += result.arrays_granted as u64;
                 }
-                self.cache.insert(
-                    pending.key,
-                    CacheEntry {
-                        output: result.output.clone(),
-                        sim_cycles: result.sim_cycles,
-                        energy_pj: result.energy_pj,
-                        shards: result.shards,
-                        shard_utilization: result.shard_utilization,
-                        arrays_granted: result.arrays_granted,
-                    },
-                );
-                let arrays = ArrayUse {
-                    shards: result.shards,
-                    utilization: result.shard_utilization,
-                    granted: result.arrays_granted,
-                    wait_cycles: result.array_wait_cycles,
-                    peak_scratch_elems: result.peak_scratch_elems,
-                    energy_pj: result.energy_pj,
-                    dynamic_energy_pj: result.dynamic_energy_pj,
-                    static_energy_pj: result.static_energy_pj,
-                };
-                // One guard for the completion and its whole fan-out:
-                // a snapshot never observes a torn state with only
-                // some waiters counted, and the dispatcher does not
-                // churn the lock per waiter.
+                let arrays = array_use(&result);
+                let (job_id, job_name) = (result.job_id, std::mem::take(&mut result.job_name));
+                let entry = memo(result);
+                self.cache.insert(pending.key, entry.clone());
+                // One guard for the completion and its whole fan-out: a
+                // snapshot never observes a torn state with only some
+                // waiters counted, and the dispatcher does not churn the
+                // lock per waiter.
                 let mut stats = lock_clean(&self.stats);
-                // An already-answered verify leg recorded its
-                // completion (and latency) at answer time.
+                // An already-answered verify leg recorded its completion
+                // (and latency) at answer time; a degraded one that did
+                // not answer its client served no degraded answer either.
                 if !answered {
                     stats.record_completion(pending.class, total_ns, false, arrays);
-                }
-                if pending.degraded {
-                    stats.record_degraded(pending.class);
-                    self.telemetry.count(Counter::Degraded, 1);
+                    if pending.degraded {
+                        stats.record_degraded(pending.class);
+                        self.telemetry.count(Counter::Degraded, 1);
+                    }
                 }
                 for waiter in waiters {
                     let waiter_total_ns = waiter.accepted.elapsed().as_nanos() as u64;
-                    // Waiters share the execution but did not wait
-                    // for its arrays, and its energy was spent once —
-                    // both are counted on the primary only.
-                    stats.record_coalesced(
-                        waiter.class,
-                        waiter_total_ns,
-                        ArrayUse {
-                            wait_cycles: 0,
-                            energy_pj: 0.0,
-                            dynamic_energy_pj: 0.0,
-                            static_energy_pj: 0.0,
-                            ..arrays
-                        },
+                    // Waiters share the execution but did not wait for
+                    // its arrays, and its energy was spent once — both
+                    // are counted on the primary only.
+                    let shared = ArrayUse {
+                        wait_cycles: 0,
+                        energy_pj: 0.0,
+                        dynamic_energy_pj: 0.0,
+                        static_energy_pj: 0.0,
+                        ..arrays
+                    };
+                    stats.record_coalesced(waiter.class, waiter_total_ns, shared);
+                    let done = served(
+                        entry.clone(),
+                        shared,
+                        CacheOutcome::Coalesced,
+                        pending.degraded,
                     );
                     self.respond(Response {
                         job_id: waiter.job_id,
                         job_name: waiter.job_name,
                         class: waiter.class,
-                        outcome: ResponseOutcome::Done(ServedResult {
-                            output: result.output.clone(),
-                            sim_cycles: result.sim_cycles,
-                            energy_pj: result.energy_pj,
-                            shards: result.shards,
-                            arrays_granted: result.arrays_granted,
-                            // The gather wait is attributed once, to
-                            // the primary — matching the stats layer.
-                            array_wait_cycles: 0,
-                            cache: CacheOutcome::Coalesced,
-                            degraded: pending.degraded,
-                            peak_scratch_elems: result.peak_scratch_elems,
-                        }),
+                        outcome: ResponseOutcome::Done(done),
                         queue_ns: waiter_total_ns,
                         total_ns: waiter_total_ns,
                     });
                 }
                 drop(stats);
-                // The primary responds last so it can take the output
-                // by move — the common zero-waiter case pays only the
+                // The primary responds last so it can take the output by
+                // move — the common zero-waiter case pays only the
                 // cache-insert clone. An already-answered verify leg
                 // stays silent: its client heard the answer leg.
                 if !answered {
+                    let done = served(entry, arrays, CacheOutcome::Miss, pending.degraded);
                     self.respond(Response {
-                        job_id: result.job_id,
-                        job_name: result.job_name,
+                        job_id,
+                        job_name,
                         class: pending.class,
-                        outcome: ResponseOutcome::Done(ServedResult {
-                            output: result.output,
-                            sim_cycles: result.sim_cycles,
-                            energy_pj: result.energy_pj,
-                            shards: result.shards,
-                            arrays_granted: result.arrays_granted,
-                            array_wait_cycles: result.array_wait_cycles,
-                            cache: CacheOutcome::Miss,
-                            degraded: pending.degraded,
-                            peak_scratch_elems: result.peak_scratch_elems,
-                        }),
+                        outcome: ResponseOutcome::Done(done),
                         queue_ns,
                         total_ns,
                     });
-                }
-            }
-            Err(_) if pending.spec == SpecRole::Answer => {
-                // A failed answer leg is invisible to the client: if
-                // the verify leg already answered, drop the
-                // rendezvous entry; otherwise downgrade the verify
-                // record to an ordinary execution so it answers the
-                // client itself instead of waiting on a digest that
-                // will never arrive.
-                if self
-                    .spec_digests
-                    .remove(&(outcome.job_id, pending.key))
-                    .is_none()
-                {
-                    if let Some(records) = self.pending.get_mut(&outcome.job_id) {
-                        if let Some(verify) = records
-                            .iter_mut()
-                            .find(|p| p.spec == SpecRole::Verify && p.key == pending.key)
-                        {
-                            verify.spec = SpecRole::None;
-                        }
-                    }
                 }
             }
             Err(error) => {
@@ -1653,18 +1512,14 @@ impl Dispatcher {
                     // the dead placement's grant back so its capacity
                     // re-opens for the re-route.
                     if let Some((device, placement)) = &pending.placed {
-                        let (device, placement) = (*device, placement.clone());
-                        self.fleet.report_failure(device);
-                        self.fleet.rollback(device, &placement);
+                        self.fleet.report_failure(*device);
+                        self.fleet.rollback(*device, placement);
                         self.lower_fleet_events(outcome.job_id);
                     }
+                    // Answer legs keep no job copy: they never retry.
                     if !pending.degraded {
                         if let Some(job) = pending.job.take() {
-                            if pending.attempt < self.config.max_retries {
-                                self.retry(pending, job);
-                            } else {
-                                self.degrade(pending, job);
-                            }
+                            self.recover(pending, job);
                             return;
                         }
                     }
@@ -1678,212 +1533,138 @@ impl Dispatcher {
     /// immediately from the bit-identical functional result and
     /// deposit the digest for the verify leg. Nothing durable happens
     /// here — cache insert, device accounting and waiter fan-out all
-    /// belong to the verify leg. When the verify leg somehow finished
-    /// first, this completion only closes the verification loop.
+    /// belong to the verify leg. When the verify leg finished first,
+    /// this completion only closes the rendezvous.
     fn complete_answer_leg(
         &mut self,
         pending: &Pending,
-        result: JobResult,
+        mut result: JobResult,
         queue_ns: u64,
         total_ns: u64,
     ) {
-        let digest = result.output.digest();
-        match self.spec_digests.remove(&(result.job_id, pending.key)) {
-            Some(accurate_digest) => self.record_verification(accurate_digest == digest),
-            None => {
-                self.spec_digests
-                    .insert((result.job_id, pending.key), digest);
-                self.telemetry.count(Counter::SpeculativeAnswers, 1);
-                let mut stats = lock_clean(&self.stats);
-                stats.record_speculative_answer(pending.class);
-                stats.record_completion(
-                    pending.class,
-                    total_ns,
-                    false,
-                    ArrayUse {
-                        shards: result.shards,
-                        utilization: result.shard_utilization,
-                        granted: result.arrays_granted,
-                        wait_cycles: 0,
-                        peak_scratch_elems: result.peak_scratch_elems,
-                        energy_pj: result.energy_pj,
-                        dynamic_energy_pj: result.dynamic_energy_pj,
-                        static_energy_pj: result.static_energy_pj,
-                    },
-                );
-                drop(stats);
-                self.respond(Response {
-                    job_id: result.job_id,
-                    job_name: result.job_name,
-                    class: pending.class,
-                    outcome: ResponseOutcome::Done(ServedResult {
-                        output: result.output,
-                        sim_cycles: result.sim_cycles,
-                        energy_pj: result.energy_pj,
-                        shards: result.shards,
-                        arrays_granted: result.arrays_granted,
-                        array_wait_cycles: 0,
-                        cache: CacheOutcome::Miss,
-                        degraded: false,
-                        peak_scratch_elems: result.peak_scratch_elems,
-                    }),
-                    queue_ns,
-                    total_ns,
-                });
-            }
+        if self.rendezvous(result.job_id, pending.key, Some(result.output.digest())) {
+            return;
         }
-    }
-
-    /// Records one closed answer/verify rendezvous. The equivalence
-    /// contract (bit-identical outputs across backends) keeps the
-    /// mismatch count at zero; a non-zero count means a backend
-    /// diverged and is worth an alarm.
-    fn record_verification(&mut self, agree: bool) {
+        self.telemetry.count(Counter::SpeculativeAnswers, 1);
+        // The answer leg takes no grant, so it never waits for arrays.
+        let arrays = ArrayUse {
+            wait_cycles: 0,
+            ..array_use(&result)
+        };
         let mut stats = lock_clean(&self.stats);
-        if agree {
-            stats.speculative_verified += 1;
-        } else {
-            stats.speculative_mismatches += 1;
-            drop(stats);
-            self.telemetry.count(Counter::SpeculativeMismatches, 1);
-        }
+        stats.record_speculative_answer(pending.class);
+        stats.record_completion(pending.class, total_ns, false, arrays);
+        drop(stats);
+        self.respond(Response {
+            job_id: result.job_id,
+            job_name: std::mem::take(&mut result.job_name),
+            class: pending.class,
+            outcome: ResponseOutcome::Done(served(memo(result), arrays, CacheOutcome::Miss, false)),
+            queue_ns,
+            total_ns,
+        });
     }
 
-    /// Re-executes a faulted attempt after a deterministic backoff
-    /// charged in device cycles (`base << attempt`, modelled as the
-    /// re-admission's arrival cycle — the retry cannot start before
-    /// it). The request was already admitted once, so re-admission
-    /// carries no deadline and can never be rejected; its waiters stay
-    /// attached and fan out from whichever attempt finally answers.
-    fn retry(&mut self, pending: Pending, job: Job) {
-        let attempt = pending.attempt + 1;
-        let backoff = RETRY_BACKOFF_BASE_CYCLES << pending.attempt;
-        let backend = self.backend_for(pending.class.fidelity);
-        let job_id = job.id;
-        let (assignment, placed) = match &mut self.planner {
-            Some(planner) => {
-                let plan = planner.plan_or_single(&job);
-                let arrival = self.fleet.floor().saturating_add(backoff);
-                match self.fleet.admit_at(&plan, None, arrival) {
-                    FleetOutcome::Placed(placed) => (
-                        placed.placement.assignment,
-                        Some((placed.device, placed.placement)),
-                    ),
-                    // Unreachable: deadline-free admission always
-                    // places somewhere.
-                    FleetOutcome::Rejected(_) => {
-                        (ArrayAssignment::full(self.config.engine.num_arrays), None)
-                    }
-                }
-            }
-            None => (ArrayAssignment::full(self.config.engine.num_arrays), None),
+    /// Meets the two legs of a speculative pair on the output digest.
+    /// The first leg to complete deposits its digest and returns
+    /// `false` (it answers the client); the second compares and
+    /// returns `true` (the client is already answered). A degraded
+    /// verify leg brings `None`: only a rendezvous closed against a
+    /// cycle-accurate digest counts as verified or mismatched. The
+    /// equivalence contract keeps mismatches at zero; a non-zero
+    /// count means a backend diverged and is worth an alarm.
+    fn rendezvous(&mut self, job_id: u64, key: u64, digest: Option<u64>) -> bool {
+        let Some(sibling) = self.spec_digests.remove(&(job_id, key)) else {
+            self.spec_digests.insert((job_id, key), digest);
+            return false;
         };
-        self.lower_fleet_events(job_id);
-        if self.sink.is_enabled() {
-            let device = placed.as_ref().map_or(0, |(d, _)| *d);
-            let cycle = placed.as_ref().map_or(backoff, |(_, p)| p.start_cycle);
-            let track = self.timeline.device_track(device);
-            self.sink
-                .instant(track, Stage::Retry, cycle, job_id, u64::from(attempt));
+        if let (Some(a), Some(b)) = (sibling, digest) {
+            let mut stats = lock_clean(&self.stats);
+            if a == b {
+                stats.speculative_verified += 1;
+            } else {
+                stats.speculative_mismatches += 1;
+                self.telemetry.count(Counter::SpeculativeMismatches, 1);
+            }
         }
-        self.telemetry.count(Counter::Retries, 1);
-        self.telemetry.count(Counter::RetryBackoffCycles, backoff);
-        lock_clean(&self.stats).record_retry(pending.class);
-        let device = placed.as_ref().map_or(0, |(d, _)| *d);
-        let job_copy = Some(job.clone());
-        let task = PoolTask {
-            job,
+        true
+    }
+
+    /// Relaunches a faulted attempt. The request was already admitted
+    /// once, so re-admission carries no deadline and is never
+    /// rejected; its waiters stay attached and fan out from whichever
+    /// attempt finally answers. While the retry budget lasts, the
+    /// attempt re-executes on its own backend after a deterministic
+    /// backoff charged in device cycles (`base << attempt`, modelled
+    /// as the re-admission's arrival cycle — the retry cannot start
+    /// before it). Once it is spent, degrade-don't-drop: the
+    /// functional backend answers with injection off. Outputs are
+    /// bit-identical across backends, so the caller still receives
+    /// the right bits; the response is flagged
+    /// [`ServedResult::degraded`].
+    fn recover(&mut self, pending: Pending, job: Job) {
+        let attempt = pending.attempt + 1;
+        let job_id = job.id;
+        let backoff = (pending.attempt < self.config.max_retries)
+            .then(|| RETRY_BACKOFF_BASE_CYCLES << pending.attempt);
+        // Deadline-free admission always places somewhere.
+        let placed = self.place(&job, None, backoff).ok().flatten();
+        let backend = match backoff {
+            Some(backoff) => {
+                if self.sink.is_enabled() {
+                    // All-arrays retries queue behind the serial
+                    // device clock.
+                    let (device, cycle) = placed.as_ref().map_or(
+                        (0, self.serial_device.makespan_cycles + backoff),
+                        |(d, p)| (*d, p.start_cycle),
+                    );
+                    let track = self.timeline.device_track(device);
+                    self.sink
+                        .instant(track, Stage::Retry, cycle, job_id, u64::from(attempt));
+                }
+                self.telemetry.count(Counter::Retries, 1);
+                self.telemetry.count(Counter::RetryBackoffCycles, backoff);
+                lock_clean(&self.stats).record_retry(pending.class);
+                pending.backend
+            }
+            None => {
+                self.sink.instant(
+                    self.dispatch_track,
+                    Stage::Degrade,
+                    self.telemetry.now_ns(),
+                    job_id,
+                    u64::from(attempt),
+                );
+                BackendKind::FastFunctional
+            }
+        };
+        let record = Pending {
             backend,
-            assignment,
-            device,
-            attempt,
-            freq_level: placed.as_ref().map_or(0, |(_, p)| p.freq_level),
-            inject: true,
-        };
-        if self.pool.submit_routed(task).is_err() {
-            self.fail_final(&pending, job_id, &RuntimeError::PoolClosed);
-            return;
-        }
-        self.pending.entry(job_id).or_default().push_back(Pending {
             placed,
-            job: job_copy,
+            job: Some(job.clone()),
             attempt,
+            degraded: backoff.is_none(),
             ..pending
-        });
-        self.in_flight += 1;
-        if pending.class.fidelity == Fidelity::Accurate {
-            self.accurate_in_flight += 1;
-        }
-    }
-
-    /// Degrade-don't-drop: the retry budget is spent, so the request
-    /// is answered by the functional backend with injection disabled
-    /// (and no deadline — an already-admitted request is never
-    /// rejected on its way out). Outputs are bit-identical across
-    /// backends, so the caller still receives the right bits; the
-    /// response is flagged [`ServedResult::degraded`].
-    fn degrade(&mut self, pending: Pending, job: Job) {
-        let attempt = pending.attempt + 1;
-        let job_id = job.id;
-        let (assignment, placed) = match &mut self.planner {
-            Some(planner) => {
-                let plan = planner.plan_or_single(&job);
-                match self.fleet.admit(&plan, None) {
-                    FleetOutcome::Placed(placed) => (
-                        placed.placement.assignment,
-                        Some((placed.device, placed.placement)),
-                    ),
-                    FleetOutcome::Rejected(_) => {
-                        (ArrayAssignment::full(self.config.engine.num_arrays), None)
-                    }
-                }
-            }
-            None => (ArrayAssignment::full(self.config.engine.num_arrays), None),
         };
-        self.lower_fleet_events(job_id);
-        self.sink.instant(
-            self.dispatch_track,
-            Stage::Degrade,
-            self.telemetry.now_ns(),
-            job_id,
-            u64::from(attempt),
-        );
-        let device = placed.as_ref().map_or(0, |(d, _)| *d);
-        let job_copy = Some(job.clone());
-        let task = PoolTask {
-            job,
-            backend: BackendKind::FastFunctional,
-            assignment,
-            device,
-            attempt,
-            inject: false,
-            freq_level: 0,
-        };
-        if self.pool.submit_routed(task).is_err() {
-            self.fail_final(&pending, job_id, &RuntimeError::PoolClosed);
-            return;
-        }
-        self.pending.entry(job_id).or_default().push_back(Pending {
-            placed,
-            job: job_copy,
-            attempt,
-            degraded: true,
-            ..pending
-        });
-        self.in_flight += 1;
-        if pending.class.fidelity == Fidelity::Accurate {
-            self.accurate_in_flight += 1;
-        }
+        self.launch(job, record);
     }
 
     /// Final failure: answers the primary and every waiter coalesced
     /// onto its execution. Only unrecoverable ends come here —
     /// job-level errors, a closed pool, or the drain bound expiring.
     fn fail_final(&mut self, pending: &Pending, job_id: u64, error: &RuntimeError) {
-        // An answer leg never owns the client response on failure —
-        // its verify sibling does (or already did).
+        // A failed answer leg is invisible to the client: if the
+        // verify leg already answered, drop the rendezvous entry;
+        // otherwise downgrade the verify record to an ordinary
+        // execution so it answers the client itself instead of
+        // waiting on a digest that will never arrive.
         if pending.spec == SpecRole::Answer {
-            self.spec_digests.remove(&(job_id, pending.key));
+            if self.spec_digests.remove(&(job_id, pending.key)).is_none() {
+                let records = self.pending.get_mut(&job_id).into_iter().flatten();
+                for p in records.filter(|p| p.key == pending.key && p.spec == SpecRole::Verify) {
+                    p.spec = SpecRole::None;
+                }
+            }
             return;
         }
         // A verify leg whose answer sibling already responded must
@@ -1975,61 +1756,12 @@ impl Dispatcher {
                 // its dispatch is the verify leg and must execute —
                 // answering again from the cache or coalescing onto a
                 // twin would double-respond or orphan the rendezvous.
+                // Otherwise a full waiter list executes independently:
+                // the loop condition already reserved an admission slot.
                 if held.speculated {
                     self.dispatch(held);
-                    progressed = true;
-                    continue;
-                }
-                if let Some(entry) = self.cache.get(held.key) {
-                    let total_ns = held.accepted.elapsed().as_nanos() as u64;
-                    lock_clean(&self.stats).record_completion(
-                        held.class,
-                        total_ns,
-                        true,
-                        ArrayUse {
-                            shards: entry.shards,
-                            utilization: entry.shard_utilization,
-                            granted: entry.arrays_granted,
-                            wait_cycles: 0,
-                            peak_scratch_elems: 0,
-                            energy_pj: 0.0,
-                            dynamic_energy_pj: 0.0,
-                            static_energy_pj: 0.0,
-                        },
-                    );
-                    self.respond(Response {
-                        job_id: held.job.id,
-                        job_name: held.job.name,
-                        class: held.class,
-                        outcome: ResponseOutcome::Done(ServedResult {
-                            output: entry.output,
-                            sim_cycles: entry.sim_cycles,
-                            energy_pj: entry.energy_pj,
-                            shards: entry.shards,
-                            arrays_granted: entry.arrays_granted,
-                            array_wait_cycles: 0,
-                            cache: CacheOutcome::Hit,
-                            degraded: false,
-                            peak_scratch_elems: 0,
-                        }),
-                        queue_ns: total_ns,
-                        total_ns,
-                    });
-                } else {
-                    match self.inflight_waiters.get_mut(&held.key) {
-                        Some(waiters) if waiters.len() < MAX_WAITERS_PER_KEY => {
-                            waiters.push(Waiter {
-                                job_id: held.job.id,
-                                job_name: held.job.name,
-                                class: held.class,
-                                accepted: held.accepted,
-                            });
-                        }
-                        // A full waiter list executes independently —
-                        // the loop condition already reserved this
-                        // job an admission slot.
-                        _ => self.dispatch(held),
-                    }
+                } else if let Some(held) = self.answer_without_executing(held) {
+                    self.dispatch(held);
                 }
                 progressed = true;
             }
@@ -2104,5 +1836,55 @@ impl Dispatcher {
         } else {
             self.pool.shutdown()
         }
+    }
+}
+
+/// The array accounting of one execution, as its primary records it.
+fn array_use(result: &JobResult) -> ArrayUse {
+    ArrayUse {
+        shards: result.shards,
+        utilization: result.shard_utilization,
+        granted: result.arrays_granted,
+        wait_cycles: result.array_wait_cycles,
+        peak_scratch_elems: result.peak_scratch_elems,
+        energy_pj: result.energy_pj,
+        dynamic_energy_pj: result.dynamic_energy_pj,
+        static_energy_pj: result.static_energy_pj,
+    }
+}
+
+/// What the cache keeps of one execution.
+fn memo(result: JobResult) -> CacheEntry {
+    CacheEntry {
+        output: result.output,
+        sim_cycles: result.sim_cycles,
+        energy_pj: result.energy_pj,
+        shards: result.shards,
+        shard_utilization: result.shard_utilization,
+        arrays_granted: result.arrays_granted,
+    }
+}
+
+/// Every `Done` payload: the producing execution's output and
+/// figures (`entry`, live or memoized), plus what this response
+/// adds. The gather wait and scratch are the ones `arrays` records
+/// for it, so a hit reports neither and only the execution's own
+/// request reports the wait.
+fn served(
+    entry: CacheEntry,
+    arrays: ArrayUse,
+    cache: CacheOutcome,
+    degraded: bool,
+) -> ServedResult {
+    ServedResult {
+        output: entry.output,
+        sim_cycles: entry.sim_cycles,
+        energy_pj: entry.energy_pj,
+        shards: entry.shards,
+        arrays_granted: entry.arrays_granted,
+        array_wait_cycles: arrays.wait_cycles,
+        cache,
+        degraded,
+        peak_scratch_elems: arrays.peak_scratch_elems,
     }
 }

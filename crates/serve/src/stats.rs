@@ -262,10 +262,12 @@ pub struct ServeStats {
     /// the client heard the functional backend's bit-identical result
     /// while the accurate execution verified asynchronously.
     pub speculative_answers: u64,
-    /// Closed answer/verify rendezvous whose digests agreed. At
-    /// quiescence `speculative_verified + speculative_mismatches`
+    /// Closed answer/verify rendezvous whose digests agreed. Only a
+    /// rendezvous closed by a cycle-accurate result counts: a verify
+    /// leg that degraded to the functional backend audits nothing.
+    /// At quiescence `speculative_verified + speculative_mismatches`
     /// accounts for every speculative answer whose verify leg
-    /// survived.
+    /// completed without degrading.
     pub speculative_verified: u64,
     /// Closed rendezvous whose digests disagreed — the equivalence
     /// contract keeps this at zero; anything else is a diverged

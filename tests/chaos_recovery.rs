@@ -187,6 +187,45 @@ fn exhausted_retries_degrade_but_never_drop() {
     assert_eq!(stats.failed, 0);
 }
 
+/// Speculative serving under total fault: every verify leg faults
+/// and, with no retry budget, degrades to the functional backend. No
+/// cycle-accurate execution ever completes, so nothing is verified.
+/// Each client hears exactly one answer — the answer leg's or the
+/// degraded leg's, whichever lands first — and only degraded answers
+/// that reached a client count as degraded.
+#[test]
+fn degraded_verify_legs_audit_nothing() {
+    let config = ServeConfig::new()
+        .with_workers(2)
+        .with_speculative()
+        .with_chaos(FaultPlan::new(7, 1.0).with_weights(0, 0))
+        .with_retries(0);
+    let service = StreamingService::start(config).expect("service starts");
+    for i in 0..8 {
+        let request = Request::accurate(gemm_job(i, 0x5EC ^ i));
+        service.submit(request).expect("submit");
+    }
+    let mut answered = BTreeMap::new();
+    let mut degraded = 0u64;
+    for _ in 0..8 {
+        let response = service
+            .recv_response(Duration::from_secs(120))
+            .expect("answered");
+        match response.outcome {
+            ResponseOutcome::Done(result) => degraded += u64::from(result.degraded),
+            other => panic!("job {} was lost to {other:?}", response.job_id),
+        }
+        *answered.entry(response.job_id).or_insert(0) += 1;
+    }
+    let (stats, leftovers) = service.shutdown();
+    assert!(leftovers.is_empty(), "no surplus responses");
+    assert!(answered.values().all(|&n| n == 1), "{answered:?}");
+    assert_eq!(stats.speculative_verified, 0, "nothing cycle-accurate ran");
+    assert_eq!(stats.speculative_mismatches, 0);
+    assert_eq!(stats.speculative_answers + degraded, 8);
+    assert_eq!(stats.degraded, degraded);
+}
+
 /// Pinned-seed golden for the recovery ladder: a persistent outage on
 /// device 1 of a 2-device fleet must trip the circuit breaker
 /// (quarantine), roll the dead placements' grants back, re-route the

@@ -8,11 +8,12 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use proptest::prelude::*;
+use tempus::core::gemm::Matrix;
 use tempus::models::traffic::{generate, TraceConfig, TraceRequest};
-use tempus::runtime::BackendKind;
+use tempus::runtime::{BackendKind, Job};
 use tempus::serve::{Request, ResponseOutcome, ServeConfig, ServeStats, StreamingService};
 use tempus::telemetry::perfetto::validate_perfetto;
-use tempus::telemetry::{Clock, Stage, TraceExport, VcdSink};
+use tempus::telemetry::{Clock, Counter, Stage, TraceExport, VcdSink};
 
 /// The deterministic slice of `ServeStats` — everything that must be
 /// bit-equal between a traced and an untraced run. Wall-clock
@@ -241,4 +242,35 @@ fn tiny_ring_drops_oldest_but_stays_well_formed() {
     let summary = stats.telemetry.expect("summary present");
     assert_eq!(summary.dropped_events, export.dropped);
     validate_perfetto(&export.to_perfetto_json()).expect("wrapped trace still validates");
+}
+
+/// A deferred request answered from the cache at promotion is traced
+/// like one answered at admission. With one accurate slot, B and its
+/// twin B' park behind a slow A; B' is promoted only after B finished,
+/// so it is served from the cache.
+#[test]
+fn promotion_cache_hits_are_counted() {
+    let gemm = |id: u64, name: &str, n: usize| {
+        let a = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 3) % 255) as i32 - 127);
+        let b = Matrix::from_fn(n, n, |i, j| ((i * 5 + j * 11) % 255) as i32 - 127);
+        Request::accurate(Job::gemm(id, name, a, b))
+    };
+    let config = ServeConfig::new()
+        .with_workers(2)
+        .with_admission(1, 8)
+        .with_tracing();
+    let service = StreamingService::start(config).expect("service starts");
+    for request in [gemm(0, "a", 64), gemm(1, "b", 4), gemm(2, "b", 4)] {
+        service.submit(request).expect("submit");
+    }
+    for _ in 0..3 {
+        let response = service
+            .recv_response(Duration::from_secs(120))
+            .expect("answered");
+        assert!(matches!(response.outcome, ResponseOutcome::Done(_)));
+    }
+    let telemetry = service.telemetry();
+    let (stats, _) = service.shutdown();
+    assert_eq!(stats.cache.hits, 1, "B' is served from B's cache entry");
+    assert_eq!(telemetry.counter(Counter::CacheHits), stats.cache.hits);
 }
