@@ -9,7 +9,6 @@ use tempus_core::gemm::Matrix;
 use tempus_core::TempusConfig;
 use tempus_models::netbuild;
 use tempus_models::zoo::Model;
-use tempus_models::QuantizedModel;
 use tempus_nvdla::config::NvdlaConfig;
 use tempus_nvdla::conv::ConvParams;
 use tempus_nvdla::cube::{DataCube, KernelSet};
@@ -96,9 +95,8 @@ pub fn mixed_batch(seed: u64, jobs: usize) -> Vec<Job> {
                 } else {
                     Model::GoogleNet
                 };
-                let quantized =
-                    QuantizedModel::generate_limited(model, IntPrecision::Int8, seed + i, 200_000);
-                let layers = netbuild::network_prefix(&quantized, 1, 64);
+                let layers =
+                    netbuild::network_prefix(model, IntPrecision::Int8, seed + i, 200_000, 1, 64);
                 if let Some(channels) = netbuild::input_channels(&layers) {
                     let input = netbuild::input_cube(5, 5, channels, IntPrecision::Int8, seed + i);
                     out.push(Job::network(id, format!("net-{id}"), input, layers));

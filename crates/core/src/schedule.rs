@@ -363,6 +363,11 @@ impl ConvCostProfile {
     }
 }
 
+/// Most cost profiles one [`ScheduleCache`] keeps. A long-running
+/// worker on unique traffic would otherwise grow the memo without
+/// bound; at the cap it is cleared and refills with what recurs.
+const PROFILE_MEMO_CAP: usize = 1024;
+
 /// Per-worker stripe-schedule and cost-profile cache.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleCache {
@@ -421,7 +426,8 @@ impl ScheduleCache {
 
     /// The cost profile of one convolution, memoized per shape ×
     /// weight digest × config: a repeated layer costs one weight hash
-    /// and no scan, whatever width it is then priced at.
+    /// and no scan, whatever width it is then priced at. The memo
+    /// holds at most [`PROFILE_MEMO_CAP`] profiles.
     ///
     /// # Errors
     ///
@@ -446,6 +452,9 @@ impl ScheduleCache {
             self.stats.latency_misses += 1;
             let schedule = self.schedule(features, kernels, params, &config.base)?;
             let profile = ConvCostProfile::new(&schedule, kernels, config);
+            if self.profiles.len() >= PROFILE_MEMO_CAP {
+                self.profiles.clear();
+            }
             self.profiles.insert(memo_key, profile);
         }
         Ok(&self.profiles[&memo_key])
@@ -545,6 +554,40 @@ mod tests {
                 assert_eq!(walked, cached, "c={c} k={k} ksize={ksize}");
             }
         }
+    }
+
+    #[test]
+    fn profile_memo_is_bounded_and_repeats_still_hit() {
+        let params = ConvParams::valid();
+        let config = TempusConfig::nv_small();
+        let features = DataCube::from_fn(4, 4, 8, |x, y, ch| (x + 2 * y + ch) as i32 - 6);
+        // Bit `k * 8 + ch` of `i` picks the weight: distinct sets for
+        // every `i` below 2^16.
+        let weights = |i: usize| {
+            KernelSet::from_fn(2, 1, 1, 8, move |k, _, _, ch| {
+                if (i >> (k * 8 + ch)) & 1 == 1 {
+                    5
+                } else {
+                    -3
+                }
+            })
+        };
+        let mut cache = ScheduleCache::new();
+        for i in 0..=PROFILE_MEMO_CAP {
+            let kn = weights(i);
+            let cached = cache.predict(&features, &kn, &params, &config).unwrap();
+            let walked = latency::predict(&features, &kn, &params, &config).unwrap();
+            assert_eq!(cached, walked, "weight set {i}");
+            assert!(cache.len().1 <= PROFILE_MEMO_CAP);
+        }
+        assert_eq!(cache.stats().latency_misses, PROFILE_MEMO_CAP as u64 + 1);
+        let kn = weights(PROFILE_MEMO_CAP);
+        let again = cache.predict(&features, &kn, &params, &config).unwrap();
+        assert_eq!(cache.stats().latency_hits, 1, "a repeat still hits");
+        assert_eq!(
+            again,
+            latency::predict(&features, &kn, &params, &config).unwrap()
+        );
     }
 
     #[test]

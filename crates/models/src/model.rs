@@ -19,6 +19,32 @@ pub struct QuantizedLayer {
 }
 
 impl QuantizedLayer {
+    /// Generates layer `idx` of `model` (shape `spec`) with the
+    /// model's calibrated weight statistics. Deterministic in
+    /// `(model, idx, precision, seed)`; every generation path goes
+    /// through here, so a layer's weights never depend on which other
+    /// layers were generated with it.
+    pub(crate) fn generate(
+        model: Model,
+        idx: usize,
+        spec: ConvLayerSpec,
+        precision: IntPrecision,
+        seed: u64,
+    ) -> Self {
+        let cal = calib::for_model(model);
+        let layer_seed = seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(idx as u64);
+        let weights = weightgen::generate_layer(
+            spec.weight_count(),
+            cal.beta,
+            cal.sparsity_pct / 100.0,
+            precision.max_value(),
+            layer_seed,
+        );
+        QuantizedLayer { spec, weights }
+    }
+
     /// Lowered weight matrix dimensions `(rows, cols)`.
     #[must_use]
     pub fn lowered_dims(&self) -> (usize, usize) {
@@ -47,6 +73,26 @@ impl QuantizedLayer {
     }
 }
 
+/// The layers a `max_weights` budget covers, with their architecture
+/// indices: each is charged in order, and the walk stops at the first
+/// layer that does not fit.
+pub(crate) fn budgeted_layers(
+    model: Model,
+    max_weights: usize,
+) -> impl Iterator<Item = (usize, ConvLayerSpec)> {
+    model
+        .conv_layers()
+        .into_iter()
+        .enumerate()
+        .scan(max_weights, |budget, (idx, spec)| {
+            let count = spec.weight_count();
+            (count <= *budget).then(|| {
+                *budget -= count;
+                (idx, spec)
+            })
+        })
+}
+
 /// A whole model's synthetic quantized convolution weights.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedModel {
@@ -68,7 +114,12 @@ impl QuantizedModel {
 
     /// Generates only the first layers up to a total weight budget —
     /// statistically representative subsets for fast tests on the
-    /// 80M-weight models.
+    /// 80M-weight models. Layers are charged in architecture order and
+    /// generation stops at the first that does not fit. Callers that
+    /// run only some of those layers build them with
+    /// [`netbuild::network_prefix`](crate::netbuild::network_prefix),
+    /// which walks the same budget and generates only the layers it
+    /// keeps, bit-identical to the ones here.
     #[must_use]
     pub fn generate_limited(
         model: Model,
@@ -76,28 +127,9 @@ impl QuantizedModel {
         seed: u64,
         max_weights: usize,
     ) -> Self {
-        let cal = calib::for_model(model);
-        let qmax = precision.max_value();
-        let mut layers = Vec::new();
-        let mut budget = max_weights;
-        for (idx, spec) in model.conv_layers().into_iter().enumerate() {
-            let count = spec.weight_count();
-            if count > budget {
-                break;
-            }
-            budget -= count;
-            let layer_seed = seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(idx as u64);
-            let weights = weightgen::generate_layer(
-                count,
-                cal.beta,
-                cal.sparsity_pct / 100.0,
-                qmax,
-                layer_seed,
-            );
-            layers.push(QuantizedLayer { spec, weights });
-        }
+        let layers = budgeted_layers(model, max_weights)
+            .map(|(idx, spec)| QuantizedLayer::generate(model, idx, spec, precision, seed))
+            .collect();
         QuantizedModel {
             model,
             precision,

@@ -1,5 +1,5 @@
 //! Whole-network job construction: turns the zoo's synthetic
-//! [`QuantizedModel`]s into runnable NVDLA [`NetworkLayer`] chains.
+//! quantized layers into runnable NVDLA [`NetworkLayer`] chains.
 //!
 //! The runtime engine (`tempus-runtime`) serves whole-network jobs,
 //! not just single convolutions; this module bridges the model zoo to
@@ -8,14 +8,21 @@
 //! express, so [`network_prefix`] extracts the longest *chainable*
 //! dense prefix under a channel budget — small enough to run on the
 //! cycle-accurate cores in tests, faithful enough to carry each
-//! layer's real quantized weight statistics.
+//! layer's real quantized weight statistics. Only the layers a job
+//! runs are generated: the prefix walks the model's weight budget the
+//! way [`QuantizedModel::generate_limited`] does and draws weights
+//! for the layers it keeps, bit-identical to that model's.
+//!
+//! [`QuantizedModel::generate_limited`]: crate::QuantizedModel::generate_limited
 
 use tempus_arith::IntPrecision;
 use tempus_nvdla::conv::ConvParams;
 use tempus_nvdla::cube::{DataCube, KernelSet};
 use tempus_nvdla::network::NetworkLayer;
 
-use crate::{QuantizedLayer, QuantizedModel};
+use crate::model::budgeted_layers;
+use crate::zoo::Model;
+use crate::QuantizedLayer;
 
 /// Lowers a dense quantized layer's weights into the KRSC kernel cube
 /// the convolution cores consume.
@@ -62,29 +69,39 @@ pub fn input_cube(w: usize, h: usize, c: usize, precision: IntPrecision, seed: u
     })
 }
 
-/// Extracts the longest chainable dense-layer prefix of `model` as
-/// runnable [`NetworkLayer`]s: layers are taken in architecture order,
-/// skipping grouped/depthwise layers and any layer whose input
-/// channels don't match the running channel count, until `max_layers`
-/// are collected or a channel count would exceed `max_channels`.
+/// Builds the longest chainable dense-layer prefix of `model`'s
+/// first layers under a `max_weights` budget as runnable
+/// [`NetworkLayer`]s. The layers equal the matching ones of
+/// [`QuantizedModel::generate_limited`]`(model, precision, seed,
+/// max_weights)`, but only the layers returned are generated. Layers
+/// are walked in architecture order and charged against the budget
+/// whether taken or not (the walk ends at the first that does not
+/// fit); grouped/depthwise layers and any layer whose input channels
+/// don't match the running channel count are skipped, until
+/// `max_layers` are collected or a channel count would exceed
+/// `max_channels`.
 ///
 /// Every layer gets `same`-padded unit stride (odd kernels) or valid
 /// convolution (even kernels) so spatial dims survive the chain, plus
 /// ReLU requantization back to the model's precision — the standard
 /// CNN block the paper's integration argument targets.
+///
+/// [`QuantizedModel::generate_limited`]: crate::QuantizedModel::generate_limited
 #[must_use]
 pub fn network_prefix(
-    model: &QuantizedModel,
+    model: Model,
+    precision: IntPrecision,
+    seed: u64,
+    max_weights: usize,
     max_layers: usize,
     max_channels: usize,
 ) -> Vec<NetworkLayer> {
     let mut layers = Vec::new();
     let mut channels: Option<usize> = None;
-    for layer in &model.layers {
+    for (idx, spec) in budgeted_layers(model, max_weights) {
         if layers.len() == max_layers {
             break;
         }
-        let spec = &layer.spec;
         if spec.groups != 1 || spec.out_c > max_channels || spec.in_c > max_channels {
             continue;
         }
@@ -105,15 +122,16 @@ pub fn network_prefix(
         // saturate in the SDP, which every backend shares, so
         // cross-backend equivalence is unaffected.
         let depth = (spec.in_c * spec.kh * spec.kw) as u32;
-        let shift = (model.precision.bits() - 1) + (32 - depth.leading_zeros()) / 2;
+        let shift = (precision.bits() - 1) + (32 - depth.leading_zeros()) / 2;
+        channels = Some(spec.out_c);
+        let layer = QuantizedLayer::generate(model, idx, spec, precision, seed);
         layers.push(NetworkLayer::conv_relu(
-            spec.name.clone(),
-            kernel_set(layer),
+            layer.spec.name.clone(),
+            kernel_set(&layer),
             params,
             shift,
-            model.precision,
+            precision,
         ));
-        channels = Some(spec.out_c);
     }
     layers
 }
@@ -128,7 +146,7 @@ pub fn input_channels(layers: &[NetworkLayer]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::Model;
+    use crate::QuantizedModel;
 
     #[test]
     fn kernel_set_round_trips_lowered_weights() {
@@ -152,10 +170,66 @@ mod tests {
         }
     }
 
+    /// The chainable dense selection over an eagerly generated model:
+    /// the oracle the lazy prefix must reproduce.
+    fn eager_prefix(
+        model: &QuantizedModel,
+        max_layers: usize,
+        max_channels: usize,
+    ) -> Vec<(String, KernelSet)> {
+        let mut taken = Vec::new();
+        let mut channels = None;
+        for layer in &model.layers {
+            let spec = &layer.spec;
+            if taken.len() == max_layers {
+                break;
+            }
+            if spec.groups == 1
+                && spec.in_c <= max_channels
+                && spec.out_c <= max_channels
+                && channels.is_none_or(|c| c == spec.in_c)
+            {
+                taken.push((spec.name.clone(), kernel_set(layer)));
+                channels = Some(spec.out_c);
+            }
+        }
+        taken
+    }
+
+    #[test]
+    fn lazy_prefix_equals_eager_model_layers() {
+        for model in Model::ALL {
+            // One below the first layer's weights: the budget runs out
+            // before any layer is taken.
+            let starved = model.conv_layers()[0].weight_count() - 1;
+            for budget in [starved, 10_000, 200_000, 2_000_000] {
+                let eager = QuantizedModel::generate_limited(model, IntPrecision::Int8, 13, budget);
+                for (max_layers, max_channels) in [(1, 64), (2, 64), (3, 256), (4, 128)] {
+                    let lazy: Vec<(String, KernelSet)> = network_prefix(
+                        model,
+                        IntPrecision::Int8,
+                        13,
+                        budget,
+                        max_layers,
+                        max_channels,
+                    )
+                    .into_iter()
+                    .map(|l| (l.name, l.kernels))
+                    .collect();
+                    assert_eq!(
+                        lazy,
+                        eager_prefix(&eager, max_layers, max_channels),
+                        "{model:?} budget {budget} ({max_layers}, {max_channels})"
+                    );
+                    assert_eq!(lazy.is_empty(), budget == starved);
+                }
+            }
+        }
+    }
+
     #[test]
     fn network_prefix_chains_channels() {
-        let m = QuantizedModel::generate_limited(Model::ResNet18, IntPrecision::Int8, 1, 2_000_000);
-        let layers = network_prefix(&m, 4, 128);
+        let layers = network_prefix(Model::ResNet18, IntPrecision::Int8, 1, 2_000_000, 4, 128);
         assert!(!layers.is_empty(), "resnet18 must yield a dense prefix");
         let mut c = input_channels(&layers).unwrap();
         for layer in &layers {
@@ -184,8 +258,7 @@ mod tests {
         use tempus_nvdla::network::run_network;
         use tempus_nvdla::pipeline::NvdlaConvCore;
 
-        let m = QuantizedModel::generate_limited(Model::ResNet18, IntPrecision::Int4, 5, 100_000);
-        let layers = network_prefix(&m, 1, 64);
+        let layers = network_prefix(Model::ResNet18, IntPrecision::Int4, 5, 100_000, 1, 64);
         assert!(!layers.is_empty());
         let channels = input_channels(&layers).unwrap();
         let input = input_cube(8, 8, channels, IntPrecision::Int4, 5);
@@ -201,9 +274,7 @@ mod tests {
     #[test]
     fn grouped_layers_are_skipped() {
         // MobileNetV2 is depthwise-heavy; the prefix must still chain.
-        let m =
-            QuantizedModel::generate_limited(Model::MobileNetV2, IntPrecision::Int8, 2, 2_000_000);
-        let layers = network_prefix(&m, 3, 256);
+        let layers = network_prefix(Model::MobileNetV2, IntPrecision::Int8, 2, 2_000_000, 3, 256);
         for layer in &layers {
             assert!(layer.kernels.k() <= 256);
         }

@@ -28,7 +28,6 @@ use tempus_nvdla::network::NetworkLayer;
 use crate::netbuild;
 use crate::transformer::{self, TransformerShape};
 use crate::zoo::Model;
-use crate::QuantizedModel;
 
 /// Requested execution fidelity for one trace request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -363,9 +362,7 @@ fn fresh_payload(rng: &mut StdRng, config: &TraceConfig) -> TracePayload {
             Model::GoogleNet
         };
         let model_seed = rng.random::<u64>();
-        let quantized =
-            QuantizedModel::generate_limited(model, config.precision, model_seed, 200_000);
-        let layers = netbuild::network_prefix(&quantized, 1, 64);
+        let layers = netbuild::network_prefix(model, config.precision, model_seed, 200_000, 1, 64);
         match netbuild::input_channels(&layers) {
             Some(channels) => {
                 let input = netbuild::input_cube(5, 5, channels, config.precision, model_seed);
@@ -387,8 +384,10 @@ fn fresh_payload(rng: &mut StdRng, config: &TraceConfig) -> TracePayload {
 #[must_use]
 pub fn generate(config: &TraceConfig) -> Vec<TraceRequest> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x007E_1105_5E2E_D0CE);
-    let mut templates: Vec<(TracePayload, usize)> = Vec::new();
-    let mut requests = Vec::with_capacity(config.requests);
+    // The request that minted each template: a repeat clones its
+    // payload from there, so fresh payloads are never copied.
+    let mut minted_by: Vec<usize> = Vec::new();
+    let mut requests: Vec<TraceRequest> = Vec::with_capacity(config.requests);
     let mut clock_ns = 0u64;
     let mut burst_remaining = 0usize;
     for id in 0..config.requests as u64 {
@@ -406,15 +405,12 @@ pub fn generate(config: &TraceConfig) -> Vec<TraceRequest> {
         }
         // Payload: replay an earlier template or mint a fresh one.
         let (payload, template) =
-            if !templates.is_empty() && rng.random_bool(config.repeat_fraction) {
-                let idx = rng.random_range(0..templates.len());
-                let (payload, template) = &templates[idx];
-                (payload.clone(), *template)
+            if !minted_by.is_empty() && rng.random_bool(config.repeat_fraction) {
+                let template = rng.random_range(0..minted_by.len());
+                (requests[minted_by[template]].payload.clone(), template)
             } else {
-                let template = templates.len();
-                let payload = fresh_payload(&mut rng, config);
-                templates.push((payload.clone(), template));
-                (payload, template)
+                minted_by.push(requests.len());
+                (fresh_payload(&mut rng, config), minted_by.len() - 1)
             };
         let fidelity = if rng.random_bool(config.accurate_fraction) {
             TraceFidelity::Accurate
@@ -610,6 +606,91 @@ mod tests {
             .iter()
             .filter(|r| r.fidelity == TraceFidelity::Accurate)
             .all(|r| r.deadline_cycles.unwrap() >= 10_000));
+    }
+
+    /// Order-sensitive digest of everything a trace carries: ids,
+    /// arrivals, labels, fidelities, payload bits (layer names and
+    /// conv parameters included), template indices and deadlines.
+    fn trace_digest(trace: &[TraceRequest]) -> u64 {
+        fn mix(h: u64, x: u64) -> u64 {
+            (h ^ x).wrapping_mul(0x0000_0100_0000_01B3).rotate_left(17)
+        }
+        fn bytes(h: u64, s: &str) -> u64 {
+            s.bytes()
+                .fold(mix(h, s.len() as u64), |h, b| mix(h, u64::from(b)))
+        }
+        trace.iter().fold(0xCBF2_9CE4_8422_2325, |h, r| {
+            let h = mix(mix(h, r.id), r.arrival_ns);
+            let h = mix(bytes(h, &r.name), r.fidelity as u64);
+            let h = match &r.payload {
+                TracePayload::Conv {
+                    features,
+                    kernels,
+                    params,
+                } => [0, features.content_hash(), kernels.content_hash()]
+                    .into_iter()
+                    .fold(mix(h, params.content_hash()), mix),
+                TracePayload::Gemm { a, b } => {
+                    mix(mix(mix(h, 1), a.content_hash()), b.content_hash())
+                }
+                TracePayload::Network { input, layers } => layers
+                    .iter()
+                    .fold(mix(mix(h, 2), input.content_hash()), |h, l| {
+                        mix(bytes(h, &l.name), l.content_hash())
+                    }),
+            };
+            mix(
+                mix(h, r.template as u64),
+                r.deadline_cycles.unwrap_or(u64::MAX),
+            )
+        })
+    }
+
+    #[test]
+    fn generated_traffic_matches_pinned_digests() {
+        // Every cold-fleet class (narrow and wide convs, small and
+        // transformer GEMMs, networks) with deadlines on, and the
+        // default mix with template repeats: any change to what the
+        // generator draws, or in which order, moves these digests.
+        let cold = TraceConfig::new(41)
+            .with_requests(64)
+            .with_repeat_fraction(0.0)
+            .with_accurate_fraction(0.1)
+            .with_transformer_fraction(0.5)
+            .with_wide_conv_fraction(0.35)
+            .with_deadlines(ClassDeadlines {
+                fast: [500, 2_500, 12_000],
+                accurate: [5_000, 25_000, 120_000],
+            });
+        let cold_trace = generate(&cold);
+        let has = |f: &dyn Fn(&TracePayload) -> bool| cold_trace.iter().any(|r| f(&r.payload));
+        let conv_k = |p: &TracePayload| match p {
+            TracePayload::Conv { kernels, .. } => Some(kernels.k()),
+            _ => None,
+        };
+        let gemm_n = |p: &TracePayload| match p {
+            TracePayload::Gemm { a, .. } => Some(a.cols()),
+            _ => None,
+        };
+        assert!(has(&|p| conv_k(p).is_some_and(|k| k <= 8)), "narrow conv");
+        assert!(has(&|p| conv_k(p).is_some_and(|k| k >= 32)), "wide conv");
+        assert!(has(&|p| gemm_n(p).is_some_and(|n| n <= 8)), "small GEMM");
+        assert!(
+            has(&|p| gemm_n(p).is_some_and(|n| n > 8)),
+            "transformer GEMM"
+        );
+        assert!(has(&|p| p.kind() == "network"), "network");
+
+        let mixed_trace = generate(&TraceConfig::new(42).with_requests(96));
+        let templates: std::collections::HashSet<usize> =
+            mixed_trace.iter().map(|r| r.template).collect();
+        assert!(templates.len() < mixed_trace.len(), "default mix repeats");
+        assert!(mixed_trace.iter().any(|r| r.payload.kind() == "network"));
+
+        assert_eq!(
+            (trace_digest(&cold_trace), trace_digest(&mixed_trace)),
+            (0x9E8F_57B4_523F_7AD2, 0xDBF9_BEFE_C295_169F)
+        );
     }
 
     #[test]

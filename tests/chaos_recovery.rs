@@ -15,7 +15,6 @@ use tempus::arith::IntPrecision;
 use tempus::core::gemm::Matrix;
 use tempus::models::netbuild;
 use tempus::models::zoo::Model;
-use tempus::models::QuantizedModel;
 use tempus::nvdla::conv::ConvParams;
 use tempus::nvdla::cube::{DataCube, KernelSet};
 use tempus::runtime::{BackendKind, Job};
@@ -294,9 +293,7 @@ fn disabled_injection_is_inert() {
 /// pool's fixed 1 s cap, far inside the 10 s watchdog.
 #[test]
 fn shutdown_drain_is_bounded_and_surfaced() {
-    let quantized =
-        QuantizedModel::generate_limited(Model::ResNet18, IntPrecision::Int8, 9, 200_000);
-    let layers = netbuild::network_prefix(&quantized, 1, 64);
+    let layers = netbuild::network_prefix(Model::ResNet18, IntPrecision::Int8, 9, 200_000, 1, 64);
     let channels = netbuild::input_channels(&layers).expect("dense prefix");
     let input = netbuild::input_cube(8, 8, channels, IntPrecision::Int8, 9);
     let slow = Job::network(0, "slow", input, layers);

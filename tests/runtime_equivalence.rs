@@ -12,7 +12,6 @@ use tempus::core::gemm::Matrix;
 use tempus::core::TempusConfig;
 use tempus::models::netbuild;
 use tempus::models::zoo::Model;
-use tempus::models::QuantizedModel;
 use tempus::nvdla::config::NvdlaConfig;
 use tempus::nvdla::conv::ConvParams;
 use tempus::nvdla::cube::{DataCube, KernelSet};
@@ -95,8 +94,7 @@ fn functional_equals_cycle_accurate_on_model_zoo_layers() {
     // functional path must track the cycle-accurate path through SDP
     // requantization chains, layer by layer.
     for (model, seed) in [(Model::ResNet18, 7u64), (Model::GoogleNet, 8u64)] {
-        let quantized = QuantizedModel::generate_limited(model, IntPrecision::Int8, seed, 500_000);
-        let layers = netbuild::network_prefix(&quantized, 2, 64);
+        let layers = netbuild::network_prefix(model, IntPrecision::Int8, seed, 500_000, 2, 64);
         assert!(!layers.is_empty(), "{model:?} yields a dense prefix");
         let channels = netbuild::input_channels(&layers).unwrap();
         let input = netbuild::input_cube(6, 6, channels, IntPrecision::Int8, seed);
@@ -138,13 +136,14 @@ fn mixed_batch_bit_identical_across_all_three_backends() {
         ));
         id += 1;
         if round % 10 == 0 {
-            let quantized = QuantizedModel::generate_limited(
+            let layers = netbuild::network_prefix(
                 Model::ResNet18,
                 IntPrecision::Int8,
                 round,
                 200_000,
+                1,
+                64,
             );
-            let layers = netbuild::network_prefix(&quantized, 1, 64);
             let channels = netbuild::input_channels(&layers).unwrap();
             let input = netbuild::input_cube(5, 5, channels, IntPrecision::Int8, round);
             jobs.push(Job::network(id, format!("net-{round}"), input, layers));

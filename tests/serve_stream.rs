@@ -13,7 +13,6 @@ use tempus::arith::IntPrecision;
 use tempus::core::gemm::Matrix;
 use tempus::models::netbuild;
 use tempus::models::zoo::Model;
-use tempus::models::QuantizedModel;
 use tempus::nvdla::conv::ConvParams;
 use tempus::nvdla::cube::{DataCube, KernelSet};
 use tempus::runtime::{BackendKind, EngineConfig, InferenceEngine, Job};
@@ -134,9 +133,7 @@ proptest! {
 /// on all three backends.
 #[test]
 fn cached_network_jobs_replay_bit_identically() {
-    let quantized =
-        QuantizedModel::generate_limited(Model::ResNet18, IntPrecision::Int8, 5, 200_000);
-    let layers = netbuild::network_prefix(&quantized, 1, 64);
+    let layers = netbuild::network_prefix(Model::ResNet18, IntPrecision::Int8, 5, 200_000, 1, 64);
     let channels = netbuild::input_channels(&layers).expect("dense prefix");
     let input = netbuild::input_cube(5, 5, channels, IntPrecision::Int8, 5);
     let job = Job::network(0, "net", input, layers);
@@ -213,9 +210,7 @@ fn bounded_queue_refuses_instead_of_growing() {
     let service = StreamingService::start(config).expect("service starts");
 
     // A genuinely slow job: one cycle-accurate network layer.
-    let quantized =
-        QuantizedModel::generate_limited(Model::ResNet18, IntPrecision::Int8, 9, 200_000);
-    let layers = netbuild::network_prefix(&quantized, 1, 64);
+    let layers = netbuild::network_prefix(Model::ResNet18, IntPrecision::Int8, 9, 200_000, 1, 64);
     let channels = netbuild::input_channels(&layers).expect("dense prefix");
     let input = netbuild::input_cube(8, 8, channels, IntPrecision::Int8, 9);
     service

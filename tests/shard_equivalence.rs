@@ -14,7 +14,6 @@ use tempus::core::schedule::ScheduleCache;
 use tempus::core::{TempusConfig, TempusCore};
 use tempus::models::netbuild;
 use tempus::models::zoo::Model;
-use tempus::models::QuantizedModel;
 use tempus::nvdla::config::NvdlaConfig;
 use tempus::nvdla::conv::ConvParams;
 use tempus::nvdla::cube::{DataCube, KernelSet};
@@ -197,13 +196,14 @@ fn nvdla_sharded_statistics_relate_exactly() {
 /// critical path.
 #[test]
 fn network_jobs_shard_equivalently() {
-    let model = QuantizedModel::generate_limited(
+    let layers = netbuild::network_prefix(
         Model::ResNet18,
         tempus::arith::IntPrecision::Int8,
         9,
         200_000,
+        2,
+        64,
     );
-    let layers = netbuild::network_prefix(&model, 2, 64);
     assert!(!layers.is_empty(), "resnet prefix exists");
     let channels = netbuild::input_channels(&layers).unwrap();
     let input = netbuild::input_cube(6, 6, channels, tempus::arith::IntPrecision::Int8, 7);

@@ -16,9 +16,9 @@ use rand::{RngExt, SeedableRng};
 use tempus::arith::IntPrecision;
 use tempus::core::gemm::{Matrix, TubGemm};
 use tempus::core::streaming::StreamPlan;
+use tempus::models::netbuild;
 use tempus::models::transformer::{projection_gemm, ProjectionKind, TransformerShape};
 use tempus::models::zoo::Model;
-use tempus::models::{netbuild, QuantizedModel};
 use tempus::nvdla::config::NvdlaConfig;
 use tempus::nvdla::conv::ConvParams;
 use tempus::nvdla::cube::{DataCube, KernelSet};
@@ -136,9 +136,7 @@ fn mixed_jobs() -> Vec<Job> {
         jobs.push(Job::gemm(id, format!("tf-{}", kind.name()), a, b));
         id += 1;
     }
-    let quantized =
-        QuantizedModel::generate_limited(Model::ResNet18, IntPrecision::Int8, 9, 200_000);
-    let layers = netbuild::network_prefix(&quantized, 1, 64);
+    let layers = netbuild::network_prefix(Model::ResNet18, IntPrecision::Int8, 9, 200_000, 1, 64);
     let channels = netbuild::input_channels(&layers).unwrap();
     let input = netbuild::input_cube(5, 5, channels, IntPrecision::Int8, 9);
     jobs.push(Job::network(id, "net".to_string(), input, layers));
