@@ -175,7 +175,7 @@ fn replay(
     let (stats, leftovers): (ServeStats, _) = service.shutdown();
     assert!(leftovers.is_empty(), "answered everything already");
     latencies_ns.sort_unstable();
-    let fleet = stats.fleet.clone().unwrap_or_default();
+    let fleet = &stats.fleet;
     ChaosScenario {
         label: label.to_string(),
         fault_rate,

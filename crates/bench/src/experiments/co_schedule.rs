@@ -138,12 +138,9 @@ fn device_replay(jobs: &[Job], config: &EngineConfig, co_schedule: bool) -> Devi
             let plan = planner.plan_or_single(job);
             ledger.place(&plan, 0)
         } else {
-            // PR 4 semantics: the job owns the whole core for its
-            // exact full-width critical path; only its real shard
-            // work counts as busy.
-            let cost = planner
-                .width_cost(job, config.num_arrays)
-                .expect("trace jobs are well-shaped");
+            // The job owns the whole core for its exact full-width
+            // critical path; only its real shard work counts as busy.
+            let cost = planner.whole_core_cost(job);
             ledger.place_exclusive(cost.critical_path_cycles, cost.total_array_cycles, 0)
         };
         finishes.push(placement.start_cycle + placement.duration_cycles);

@@ -20,7 +20,7 @@ use tempus_core::shard::ShardStrategy;
 use tempus_core::{TempusConfig, TempusCore};
 use tempus_models::netbuild::{input_cube, kernel_set};
 use tempus_models::zoo::Model;
-use tempus_models::QuantizedModel;
+use tempus_models::{budgeted_layers, QuantizedLayer};
 use tempus_nvdla::conv::ConvParams;
 use tempus_nvdla::cube::{DataCube, KernelSet};
 
@@ -125,11 +125,13 @@ fn cases(seed: u64, quick: bool) -> Vec<(String, DataCube, KernelSet, bool)> {
     };
     let spatial = if quick { 5 } else { 6 };
     for &(model, min_k, max_c) in specs {
-        let m = QuantizedModel::generate_limited(model, IntPrecision::Int8, seed, 2_000_000);
-        if let Some(layer) = m.layers.iter().find(|l| {
-            l.spec.groups == 1 && l.spec.out_c >= min_k && l.spec.in_c >= 8 && l.spec.in_c <= max_c
-        }) {
-            let kernels = kernel_set(layer);
+        // Only the picked layer of the 2M-weight budget is generated.
+        let picked = budgeted_layers(model, 2_000_000).find(|(_, spec)| {
+            spec.groups == 1 && spec.out_c >= min_k && spec.in_c >= 8 && spec.in_c <= max_c
+        });
+        if let Some((idx, spec)) = picked {
+            let layer = QuantizedLayer::generate(model, idx, spec, IntPrecision::Int8, seed);
+            let kernels = kernel_set(&layer);
             let features = input_cube(
                 spatial,
                 spatial,

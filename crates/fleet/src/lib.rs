@@ -44,6 +44,9 @@
 //!   governor is threaded into every device ledger (elastic joins
 //!   included); its frequency transitions surface as
 //!   [`FleetEvent::FreqChange`]s.
+//! * **Whole-core admission** ([`FleetScheduler::admit_exclusive`]) —
+//!   the all-arrays policy's grants, committed like any other, so the
+//!   fleet keeps the one device account under either policy.
 //! * **Elastic sizing** ([`ElasticPolicy`]) — on ledger-clock
 //!   boundaries the fleet compares backlog per active device against
 //!   grow/shrink thresholds and joins (or revives) a device at the
@@ -62,7 +65,7 @@
 #![warn(missing_docs)]
 
 use tempus_core::freq;
-use tempus_core::shard::BudgetPlan;
+use tempus_core::shard::{BudgetPlan, WidthCost};
 use tempus_runtime::stats::PERIOD_NS;
 use tempus_runtime::{ArrayLedger, DeviceSummary, GovernorPolicy, Placement};
 
@@ -731,21 +734,9 @@ impl FleetScheduler {
         }
 
         let (device, placement) = chosen;
-        self.emit(FleetEvent::Route {
-            device,
-            start_cycle: placement.start_cycle,
-            granted: placement.assignment.granted,
-        });
         self.devices[device].ledger.apply(&placement);
-        self.track_committed(plan, &placement);
-        self.lower_freq_changes(device);
-        let placed = FleetPlacement {
-            device,
-            placement,
-            arrival_cycle: reference,
-        };
-        self.observe_latency(placed.latency_cycles());
-        FleetOutcome::Placed(placed)
+        let cost = plan.cost_at(placement.assignment.granted);
+        FleetOutcome::Placed(self.book(device, placement, cost, reference))
     }
 
     /// The power-capped admission body: every active device × fixed
@@ -822,13 +813,47 @@ impl FleetScheduler {
                 best_latency_cycles: best_latency,
             });
         };
+        self.devices[device].ledger.apply(&placement);
+        let cost = plan.cost_at(placement.assignment.granted);
+        FleetOutcome::Placed(self.book(device, placement, cost, reference))
+    }
+
+    /// Admits one whole-core job, unconditionally: the
+    /// [`ArrayLedger::place_exclusive`] placement of `cost` on the
+    /// active device whose last array frees first (ties to the lowest
+    /// id). `arrival_cycle` 0 queues it at the floor, as
+    /// [`admit`](Self::admit) does; a later one is its arrival, as
+    /// under [`admit_at`](Self::admit_at).
+    pub fn admit_exclusive(&mut self, cost: &WidthCost, arrival_cycle: u64) -> FleetPlacement {
+        let reference = arrival_cycle.max(self.floor());
+        let (device, _) = self
+            .active_iter()
+            .min_by_key(|(_, d)| d.ledger.makespan())
+            .expect("fleet always has an active device");
+        let placement = self.devices[device].ledger.place_exclusive(
+            cost.critical_path_cycles,
+            cost.total_array_cycles,
+            arrival_cycle,
+        );
+        self.book(device, placement, cost, reference)
+    }
+
+    /// Books `placement`, just applied to `device`'s ledger — every
+    /// admission path's tail. `cost` prices the granted width; latency
+    /// runs from `reference`.
+    fn book(
+        &mut self,
+        device: usize,
+        placement: Placement,
+        cost: &WidthCost,
+        reference: u64,
+    ) -> FleetPlacement {
         self.emit(FleetEvent::Route {
             device,
             start_cycle: placement.start_cycle,
             granted: placement.assignment.granted,
         });
-        self.devices[device].ledger.apply(&placement);
-        self.track_committed(plan, &placement);
+        self.track_committed(cost, &placement);
         self.lower_freq_changes(device);
         let placed = FleetPlacement {
             device,
@@ -836,7 +861,7 @@ impl FleetScheduler {
             arrival_cycle: reference,
         };
         self.observe_latency(placed.latency_cycles());
-        FleetOutcome::Placed(placed)
+        placed
     }
 
     /// Closed-form average power of `energy_pj` spread over
@@ -865,10 +890,8 @@ impl FleetScheduler {
     /// Books a committed placement's energy and power into the fleet
     /// account and the cap concurrency set. Pure bookkeeping — no
     /// scheduling decision reads it until a cap is configured.
-    fn track_committed(&mut self, plan: &BudgetPlan, placement: &Placement) {
-        let energy = plan
-            .cost_at(placement.assignment.granted)
-            .energy_at(placement.freq_level);
+    fn track_committed(&mut self, cost: &WidthCost, placement: &Placement) {
+        let energy = cost.energy_at(placement.freq_level);
         self.planned_energy_pj += energy;
         let power = Self::power_milli_of(energy, placement.duration_cycles);
         if power > 0 {
@@ -1104,7 +1127,6 @@ impl FleetScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempus_core::shard::WidthCost;
 
     /// A perfectly scaling cost curve: `total / w` cycles at width w.
     fn linear_plan(arrays: usize, max: usize, total: u64) -> BudgetPlan {
@@ -1149,6 +1171,13 @@ mod tests {
             let direct = ledger.place(plan, 0);
             assert_eq!(fleet_p.device, 0);
             assert_eq!(fleet_p.placement, direct);
+        }
+        // Whole-core jobs, queued at the floor and arriving past it.
+        for arrival in [0, 10_000] {
+            let floor = fleet.floor();
+            let placed = fleet.admit_exclusive(plans[1].cost_at(4), arrival);
+            assert_eq!(placed.placement, ledger.place_exclusive(500, 2000, arrival));
+            assert_eq!(placed.arrival_cycle, arrival.max(floor));
         }
         assert_eq!(fleet.summary().combined(), ledger.summary());
     }

@@ -54,4 +54,4 @@ pub mod weightgen;
 pub mod zoo;
 
 pub use layer::{ConvLayerSpec, LayerKind};
-pub use model::{QuantizedLayer, QuantizedModel};
+pub use model::{budgeted_layers, QuantizedLayer, QuantizedModel};

@@ -24,7 +24,8 @@ impl QuantizedLayer {
     /// `(model, idx, precision, seed)`; every generation path goes
     /// through here, so a layer's weights never depend on which other
     /// layers were generated with it.
-    pub(crate) fn generate(
+    #[must_use]
+    pub fn generate(
         model: Model,
         idx: usize,
         spec: ConvLayerSpec,
@@ -75,8 +76,10 @@ impl QuantizedLayer {
 
 /// The layers a `max_weights` budget covers, with their architecture
 /// indices: each is charged in order, and the walk stops at the first
-/// layer that does not fit.
-pub(crate) fn budgeted_layers(
+/// layer that does not fit. Generating each with
+/// [`QuantizedLayer::generate`] yields exactly the layers of
+/// [`QuantizedModel::generate_limited`], one at a time.
+pub fn budgeted_layers(
     model: Model,
     max_weights: usize,
 ) -> impl Iterator<Item = (usize, ConvLayerSpec)> {

@@ -106,14 +106,8 @@ impl EngineConfig {
     /// Enables cost-aware array-slot co-scheduling with the default
     /// widening policy (builder style).
     #[must_use]
-    pub fn with_co_scheduling(self) -> Self {
-        self.with_scheduling(ArrayPolicy::CostAware(WidenPolicy::edge_default()))
-    }
-
-    /// Overrides the array-granting policy (builder style).
-    #[must_use]
-    pub fn with_scheduling(mut self, scheduling: ArrayPolicy) -> Self {
-        self.scheduling = scheduling;
+    pub fn with_co_scheduling(mut self) -> Self {
+        self.scheduling = ArrayPolicy::CostAware(WidenPolicy::edge_default());
         self
     }
 
@@ -181,6 +175,17 @@ impl EngineConfig {
     }
 }
 
+/// The synthesized PE array `kind` models under `config`: its family
+/// and the core configuration fixing its precision and shape.
+fn array_model(config: &EngineConfig, kind: BackendKind) -> (Family, &NvdlaConfig) {
+    match kind {
+        BackendKind::NvdlaCycleAccurate => (Family::Binary, &config.nvdla),
+        BackendKind::TempusCycleAccurate | BackendKind::FastFunctional => {
+            (Family::Tub, &config.tempus.base)
+        }
+    }
+}
+
 /// Per-cycle PE-array power for `kind` under `config`, in mW —
 /// calibrated synthesis model for the family the backend models, at
 /// the configured precision and array shape. Shared by the batch
@@ -188,20 +193,9 @@ impl EngineConfig {
 /// energy figures agree.
 #[must_use]
 pub fn array_power_mw(config: &EngineConfig, kind: BackendKind) -> f64 {
-    let hw = SynthModel::nangate45();
-    let (family, precision, (k, n)) = match kind {
-        BackendKind::NvdlaCycleAccurate => (
-            Family::Binary,
-            config.nvdla.precision,
-            (config.nvdla.atomic_k, config.nvdla.atomic_c),
-        ),
-        BackendKind::TempusCycleAccurate | BackendKind::FastFunctional => (
-            Family::Tub,
-            config.tempus.base.precision,
-            (config.tempus.base.atomic_k, config.tempus.base.atomic_c),
-        ),
-    };
-    hw.pe_array(family, precision, k, n).power_mw
+    let (family, c) = array_model(config, kind);
+    let array = SynthModel::nangate45().pe_array(family, c.precision, c.atomic_k, c.atomic_c);
+    array.power_mw
 }
 
 /// Static/leakage fraction of [`array_power_mw`] for `kind` under
@@ -211,20 +205,8 @@ pub fn array_power_mw(config: &EngineConfig, kind: BackendKind) -> f64 {
 /// `power × f` as static energy on busy wall time.
 #[must_use]
 pub fn array_leakage_fraction(config: &EngineConfig, kind: BackendKind) -> f64 {
-    let hw = SynthModel::nangate45();
-    let (family, precision, (k, n)) = match kind {
-        BackendKind::NvdlaCycleAccurate => (
-            Family::Binary,
-            config.nvdla.precision,
-            (config.nvdla.atomic_k, config.nvdla.atomic_c),
-        ),
-        BackendKind::TempusCycleAccurate | BackendKind::FastFunctional => (
-            Family::Tub,
-            config.tempus.base.precision,
-            (config.tempus.base.atomic_k, config.tempus.base.atomic_c),
-        ),
-    };
-    hw.leakage_fraction(family, precision, k, n)
+    let (family, c) = array_model(config, kind);
+    SynthModel::nangate45().leakage_fraction(family, c.precision, c.atomic_k, c.atomic_c)
 }
 
 /// A completed batch: per-job results (sorted by id), per-worker
@@ -328,20 +310,18 @@ impl InferenceEngine {
         // they are deterministic for a fixed (jobs, seed) pair: under
         // the cost-aware policy each job gets the width the budget
         // planner picked and the ledger packed; under the all-arrays
-        // policy every job keeps the whole core (PR 4 semantics).
+        // policy every job keeps the whole core, and the ledger takes
+        // each executed result exclusively once the batch is back.
         let mut grants: Vec<ArrayAssignment> =
             vec![ArrayAssignment::full(self.config.num_arrays); jobs.len()];
-        let device = if let ArrayPolicy::CostAware(policy) = self.config.scheduling {
+        let mut ledger = ArrayLedger::new(self.config.num_arrays);
+        if let ArrayPolicy::CostAware(policy) = self.config.scheduling {
             let mut planner = ArrayPlanner::new(&self.config, policy);
-            let mut ledger = ArrayLedger::new(self.config.num_arrays);
             for &job_idx in &order {
                 let plan = planner.plan_or_single(&jobs[job_idx]);
                 grants[job_idx] = ledger.place(&plan, 0).assignment;
             }
-            Some(ledger.summary())
-        } else {
-            None
-        };
+        }
         let grants = &grants;
 
         let batch_start = Instant::now();
@@ -425,10 +405,18 @@ impl InferenceEngine {
             });
         let wall_ns = batch_start.elapsed().as_nanos() as u64;
 
+        let per_worker = worker_outputs.into_iter().collect::<Result<Vec<_>, _>>()?;
+        if self.config.scheduling == ArrayPolicy::AllArrays {
+            // Slot `s` of the permutation ran on worker `s % workers`
+            // as its `s / workers`-th job.
+            for slot in 0..jobs.len() {
+                let run = &per_worker[slot % workers].0[slot / workers];
+                ledger.place_exclusive(run.sim_cycles, run.total_array_cycles, 0);
+            }
+        }
         let mut results = Vec::with_capacity(jobs.len());
         let mut worker_stats = Vec::with_capacity(workers);
-        for outcome in worker_outputs {
-            let (mut rs, ws) = outcome?;
+        for (mut rs, ws) in per_worker {
             results.append(&mut rs);
             worker_stats.push(ws);
         }
@@ -440,8 +428,7 @@ impl InferenceEngine {
             &results,
             &worker_stats,
             wall_ns,
-            self.config.num_arrays,
-            device,
+            ledger.summary(),
             self.array_power_mw * self.array_leak_frac,
         );
         Ok(BatchReport {

@@ -17,10 +17,12 @@
 //!   [`plan_for_budget`](tempus_core::shard::plan_for_budget)),
 //!   `granted` (what the ledger actually handed over) and
 //!   `wait_cycles` (device time spent gathering the granted set).
-//! * [`ArrayPolicy`] — the dispatch policy switch:
-//!   [`ArrayPolicy::AllArrays`] reproduces PR 4 exactly (and stays
-//!   bit-identical), [`ArrayPolicy::CostAware`] runs the budget
-//!   planner and the ledger.
+//! * [`ArrayPolicy`] — the dispatch policy switch. Both policies
+//!   keep their device account in this ledger:
+//!   [`ArrayPolicy::AllArrays`] grants every job the whole core
+//!   ([`ArrayLedger::place_exclusive`]), [`ArrayPolicy::CostAware`]
+//!   runs the budget planner and packs grants with
+//!   [`ArrayLedger::place`]. Outputs are bit-identical under both.
 //!
 //! Placement is **deterministic**: given the same placement order and
 //! the same width/cost curves, grants, starts and waits are
@@ -50,8 +52,9 @@ use tempus_core::shard::{BudgetPlan, WidenPolicy};
 /// How jobs are granted PE arrays.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum ArrayPolicy {
-    /// PR 4 semantics: every job takes the whole multi-array core
-    /// (the shard planner still decides how many arrays it can use).
+    /// Every job takes the whole multi-array core, placed exclusively
+    /// on the ledger (the shard planner still decides how many arrays
+    /// it can use).
     #[default]
     AllArrays,
     /// Cost-aware co-scheduling: the budget planner picks the width,
@@ -189,8 +192,8 @@ impl GovernorPolicy {
     }
 }
 
-/// Aggregated device-time counters, published by the ledger (and, in
-/// `AllArrays` mode, accumulated serially from completed jobs).
+/// Aggregated device-time counters, published by the ledger under
+/// either array policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeviceSummary {
     /// Arrays the modelled device has.

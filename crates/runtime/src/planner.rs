@@ -21,9 +21,9 @@
 //!
 //! The estimates price **Tempus** device time. When the executing
 //! backend is the binary NVDLA baseline the decision is still made on
-//! the Tempus curve — a scheduling heuristic, not an accounting
-//! figure; the job's reported cycles always come from its own
-//! backend.
+//! the Tempus curve, and so is the device account the serving
+//! dispatcher keeps under either array policy; the job's reported
+//! cycles always come from its own backend.
 
 use tempus_core::gemm::{GemmCostProfile, TubGemm};
 use tempus_core::schedule::{ConvCostProfile, StripeSchedule};
@@ -79,12 +79,6 @@ impl ArrayPlanner {
         }
     }
 
-    /// The configured device width (the planner never requests more).
-    #[must_use]
-    pub fn num_arrays(&self) -> usize {
-        self.num_arrays
-    }
-
     /// The cost-aware width decision for `job`.
     ///
     /// # Errors
@@ -108,18 +102,21 @@ impl ArrayPlanner {
         self.plan(job).unwrap_or_else(|_| BudgetPlan::single(0))
     }
 
-    /// The exact closed-form cost of running `job` at `arrays` —
-    /// for conv and GEMM on the Tempus backends this equals the
-    /// executed critical path bit-for-bit (the pinned model
-    /// contract); for networks the layer chain is walked on shapes,
-    /// which is exact too because predicted cycles depend only on
-    /// shapes and weights, never on activation values.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the closed-form models.
-    pub fn width_cost(&mut self, job: &Job, arrays: usize) -> Result<WidthCost, RuntimeError> {
-        Ok(self.cost(&self.profile(job)?, arrays))
+    /// The whole-core price of `job`: its exact closed-form
+    /// [`WidthCost`] at the full configured width, which an
+    /// all-arrays placement holds the device for. On the Tempus and
+    /// functional backends it equals the executed critical path
+    /// bit-for-bit (the pinned model contract; networks are walked on
+    /// shapes, and predicted cycles never depend on activation
+    /// values). Like [`ArrayPlanner::plan_or_single`], a job whose
+    /// cost cannot be estimated is priced at zero cycles and the
+    /// backend surfaces the underlying error.
+    #[must_use]
+    pub fn whole_core_cost(&self, job: &Job) -> WidthCost {
+        match self.profile(job) {
+            Ok(profile) => self.cost(&profile, self.num_arrays),
+            Err(_) => BudgetPlan::single(0).widths[0],
+        }
     }
 
     /// Scans `job` into its width-invariant cost profile.
@@ -356,7 +353,7 @@ mod tests {
         let grid = TubGemm::new(16, 16, IntPrecision::Int8);
         assert_eq!(grid.shard_plan(8, 64, 8).axis, GemmAxis::Cols);
         assert_eq!(grid.shard_plan(64, 8, 8).axis, GemmAxis::Rows);
-        assert!(planner.width_cost(&cases[1], 4).unwrap().reduction_cycles > 0);
+        assert!(planner.plan(&cases[1]).unwrap().cost_at(4).reduction_cycles > 0);
     }
 
     #[test]

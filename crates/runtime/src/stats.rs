@@ -72,17 +72,12 @@ pub struct AggregateStats {
     /// Mean per-job work balance across arrays (1.0 when single-array
     /// or perfectly balanced).
     pub avg_shard_utilization: f64,
-    /// Device-time view of the batch on the array pool: under the
-    /// cost-aware policy this is the ledger's account (makespan,
-    /// packing efficiency, array-wait); under the all-arrays policy
-    /// it is the serial whole-core equivalent (each job owns the
-    /// device, makespan is the sum of job latencies).
+    /// Device-time view of the batch on the array pool: the array
+    /// ledger's account (makespan, packing efficiency, array-wait)
+    /// under either policy. Under the all-arrays policy each job holds
+    /// the whole core exclusively, so the makespan is the sum of job
+    /// latencies.
     pub device: DeviceSummary,
-    /// Device cycles jobs spent waiting to gather their granted
-    /// arrays (0 without co-scheduling).
-    pub total_array_wait_cycles: u64,
-    /// Mean arrays granted per job.
-    pub avg_arrays_granted: f64,
     /// Schedule-cache counters merged across workers.
     pub schedule_cache: Option<CacheStats>,
     /// Largest per-job scratch high-water mark in elements (0 for an
@@ -93,22 +88,18 @@ pub struct AggregateStats {
 
 impl AggregateStats {
     /// Computes aggregates from per-job results and worker records.
-    /// `device` is the array-slot ledger's account when the batch was
-    /// co-scheduled; `None` derives the all-arrays serial equivalent
-    /// (each job owns the whole `num_arrays`-wide core in turn).
+    /// `device` is the array ledger's account of the batch.
     /// `idle_leakage_mw` is the per-array leakage power used to price
     /// the ledger's idle gaps (0.0 when unknown — gaps then cost
     /// nothing, the pre-DVFS accounting).
     #[must_use]
-    #[allow(clippy::too_many_arguments)] // one value per accounting domain being folded
     pub fn from_results(
         backend: &'static str,
         workers: usize,
         results: &[JobResult],
         worker_stats: &[WorkerStats],
         wall_ns: u64,
-        num_arrays: usize,
-        device: Option<DeviceSummary>,
+        device: DeviceSummary,
         idle_leakage_mw: f64,
     ) -> Self {
         let jobs = results.len() as u64;
@@ -120,22 +111,11 @@ impl AggregateStats {
         let total_array_cycles: u64 = results.iter().map(|r| r.total_array_cycles).sum();
         let total_shards: u64 = results.iter().map(|r| r.shards as u64).sum();
         let util_sum: f64 = results.iter().map(|r| r.shard_utilization).sum();
-        let granted_sum: u64 = results.iter().map(|r| r.arrays_granted as u64).sum();
-        let wait_sum: u64 = results.iter().map(|r| r.array_wait_cycles).sum();
         let peak_scratch_elems = results
             .iter()
             .map(|r| r.peak_scratch_elems)
             .max()
             .unwrap_or(0);
-        let device = device.unwrap_or(DeviceSummary {
-            num_arrays: num_arrays.max(1),
-            makespan_cycles: total_sim_cycles,
-            busy_cycles: total_array_cycles,
-            wait_cycles: wait_sum,
-            placements: jobs,
-            granted_sum,
-            ..DeviceSummary::default()
-        });
         let idle_leakage_pj = idle_leakage_mw * device.idle_gap_cycles as f64 * PERIOD_NS;
         let mut schedule_cache: Option<CacheStats> = None;
         for ws in worker_stats {
@@ -179,12 +159,6 @@ impl AggregateStats {
                 util_sum / jobs as f64
             },
             device,
-            total_array_wait_cycles: wait_sum,
-            avg_arrays_granted: if jobs == 0 {
-                1.0
-            } else {
-                granted_sum as f64 / jobs as f64
-            },
             schedule_cache,
             peak_scratch_elems,
         }
@@ -230,8 +204,8 @@ impl fmt::Display for AggregateStats {
                 "; device makespan {} cycles ({:.0}% packed, {:.1} arrays granted/job, {} wait cycles)",
                 self.device.makespan_cycles,
                 self.device.occupancy() * 100.0,
-                self.avg_arrays_granted,
-                self.total_array_wait_cycles,
+                self.device.avg_arrays_granted(),
+                self.device.wait_cycles,
             )?;
         }
         if self.peak_scratch_elems > 0 {

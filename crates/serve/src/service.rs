@@ -41,6 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tempus_chaos::{FaultInjector, FaultPlan};
+use tempus_core::shard::WidenPolicy;
 use tempus_fleet::{
     DeadlineMiss, ElasticPolicy, FleetConfig, FleetEvent, FleetOutcome, FleetScheduler,
     FleetSummary,
@@ -48,8 +49,8 @@ use tempus_fleet::{
 use tempus_runtime::pool::{PoolOutcome, PoolTask, WorkerPool};
 use tempus_runtime::stats::PERIOD_NS;
 use tempus_runtime::{
-    ArrayAssignment, ArrayPlanner, ArrayPolicy, BackendKind, DeviceSummary, EngineConfig,
-    GovernorPolicy, Job, JobResult, Placement, RuntimeError, WorkerStats,
+    ArrayAssignment, ArrayPlanner, ArrayPolicy, BackendKind, EngineConfig, GovernorPolicy, Job,
+    JobResult, Placement, RuntimeError, WorkerStats,
 };
 use tempus_telemetry::{
     Clock, Counter, DeviceTimeline, PlacedSpan, Stage, Telemetry, TraceSink, TrackId,
@@ -252,27 +253,17 @@ impl ServeConfig {
         self
     }
 
-    /// The modelled PE-array count per worker core.
-    #[must_use]
-    pub fn num_arrays(&self) -> usize {
-        self.engine.num_arrays
-    }
-
     /// Enables cost-aware array-slot co-scheduling (builder style):
     /// instead of every job owning the whole multi-array core, the
     /// budget planner picks each job's width and the dispatcher packs
     /// concurrent jobs onto disjoint array sets through the
-    /// device-time ledger.
+    /// device-time ledger. A co-scheduling policy already set is
+    /// kept.
     #[must_use]
     pub fn with_co_scheduling(mut self) -> Self {
-        self.engine = self.engine.with_co_scheduling();
-        self
-    }
-
-    /// Overrides the array-granting policy (builder style).
-    #[must_use]
-    pub fn with_scheduling(mut self, scheduling: ArrayPolicy) -> Self {
-        self.engine = self.engine.with_scheduling(scheduling);
+        if !self.co_scheduling() {
+            self.engine = self.engine.with_co_scheduling();
+        }
         self
     }
 
@@ -341,22 +332,19 @@ impl ServeConfig {
     #[must_use]
     pub fn with_devices(mut self, devices: usize) -> Self {
         self.devices = devices.max(1);
-        if self.devices > 1 && !self.co_scheduling() {
+        if self.devices > 1 {
             self = self.with_co_scheduling();
         }
         self
     }
 
     /// Enables look-ahead backfilling into idle array gaps (builder
-    /// style). Backfilling is a fleet-scheduler move, so this enables
+    /// style). Backfilling packs cost-aware grants, so this enables
     /// co-scheduling too.
     #[must_use]
     pub fn with_backfill(mut self) -> Self {
         self.backfill = true;
-        if !self.co_scheduling() {
-            self = self.with_co_scheduling();
-        }
-        self
+        self.with_co_scheduling()
     }
 
     /// Enables elastic fleet sizing under `policy` (builder style);
@@ -364,24 +352,18 @@ impl ServeConfig {
     #[must_use]
     pub fn with_elastic(mut self, policy: ElasticPolicy) -> Self {
         self.elastic = Some(policy);
-        if !self.co_scheduling() {
-            self = self.with_co_scheduling();
-        }
-        self
+        self.with_co_scheduling()
     }
 
     /// Caps fleet-wide average power at `cap_mw` milliwatts (builder
     /// style): admission walks the width × frequency-ladder grid and
     /// commits the lowest-energy deadline-feasible point that fits
-    /// under the cap. Power-aware admission is a fleet-scheduler
-    /// move, so this enables co-scheduling too.
+    /// under the cap. Power-aware admission walks cost-aware widths,
+    /// so this enables co-scheduling too.
     #[must_use]
     pub fn with_power_cap(mut self, cap_mw: f64) -> Self {
         self.power_cap_mw = Some(cap_mw);
-        if !self.co_scheduling() {
-            self = self.with_co_scheduling();
-        }
-        self
+        self.with_co_scheduling()
     }
 
     /// Enables the per-array DVFS governor (builder style): arrays
@@ -392,10 +374,7 @@ impl ServeConfig {
     #[must_use]
     pub fn with_freq_governor(mut self, governor: GovernorPolicy) -> Self {
         self.freq_governor = Some(governor);
-        if !self.co_scheduling() {
-            self = self.with_co_scheduling();
-        }
-        self
+        self.with_co_scheduling()
     }
 
     /// Enables answer-now-verify-later serving (builder style):
@@ -411,8 +390,7 @@ impl ServeConfig {
         self
     }
 
-    /// The fleet shape the dispatcher schedules through when
-    /// co-scheduling.
+    /// The fleet shape the dispatcher schedules through.
     #[must_use]
     pub fn fleet_config(&self) -> FleetConfig {
         let mut fleet = FleetConfig::new(self.devices, self.engine.num_arrays);
@@ -472,9 +450,9 @@ struct Pending {
     /// match on (backend, attempt) — a fast outcome can never pop an
     /// accurate record.
     backend: BackendKind,
-    /// The fleet placement the job runs under (co-scheduling only) —
-    /// kept so its device-cycle spans can be recorded at completion,
-    /// when the backend's per-shard cycles are known.
+    /// The fleet placement the job runs under (`None` when unplaced,
+    /// as an answer leg is) — kept so its device-cycle spans can be
+    /// recorded at completion, when per-shard cycles are known.
     placed: Option<(usize, Placement)>,
     /// A copy of the job, kept only when recovery is possible
     /// (injection enabled or a watchdog armed) so a faulted attempt
@@ -562,8 +540,7 @@ pub struct StreamingService {
     stats: Arc<Mutex<StatsRecorder>>,
     cache_stats: Arc<Mutex<ResultCacheStats>>,
     in_flight_gauge: Arc<AtomicUsize>,
-    device_gauge: Arc<Mutex<DeviceSummary>>,
-    fleet_gauge: Arc<Mutex<Option<FleetSummary>>>,
+    fleet_gauge: Arc<Mutex<FleetSummary>>,
     dispatcher: Option<JoinHandle<Vec<WorkerStats>>>,
     started: Instant,
     telemetry: Telemetry,
@@ -618,30 +595,24 @@ impl StreamingService {
         let stats = Arc::new(Mutex::new(StatsRecorder::new(config.slo.clone())));
         let cache_stats = Arc::new(Mutex::new(ResultCacheStats::default()));
         let in_flight_gauge = Arc::new(AtomicUsize::new(0));
-        let num_arrays = config.engine.num_arrays.max(1);
-        let device_gauge = Arc::new(Mutex::new(DeviceSummary {
-            num_arrays,
-            ..DeviceSummary::default()
-        }));
-        let fleet_gauge = Arc::new(Mutex::new(None));
-        // Under the cost-aware policy the dispatcher owns a width
-        // planner and the device-time array ledger; under the
-        // all-arrays policy each job owns the whole core and device
-        // time is accumulated serially from completions.
-        let planner = match config.engine.scheduling {
-            ArrayPolicy::CostAware(policy) => Some(ArrayPlanner::new(&config.engine, policy)),
-            ArrayPolicy::AllArrays => None,
+        // One planner prices every job for the fleet's ledgers: a
+        // width plan (cost-aware) or the whole core (all-arrays,
+        // which never reads the widening policy).
+        let widen = match config.engine.scheduling {
+            ArrayPolicy::CostAware(policy) => policy,
+            ArrayPolicy::AllArrays => WidenPolicy::edge_default(),
         };
+        let planner = ArrayPlanner::new(&config.engine, widen);
         let mut fleet = FleetScheduler::new(config.fleet_config());
         // The fleet logs its decisions (previews, routes, elastic
         // actions) only when someone will drain them into a trace.
         fleet.set_recording(telemetry.is_enabled());
+        let fleet_gauge = Arc::new(Mutex::new(fleet.summary()));
         let dispatcher = {
             let ingress = Arc::clone(&ingress);
             let stats = Arc::clone(&stats);
             let cache_stats = Arc::clone(&cache_stats);
             let in_flight_gauge = Arc::clone(&in_flight_gauge);
-            let device_gauge = Arc::clone(&device_gauge);
             let fleet_gauge = Arc::clone(&fleet_gauge);
             let telemetry2 = telemetry.clone();
             std::thread::spawn(move || {
@@ -659,18 +630,14 @@ impl StreamingService {
                     stats,
                     cache_stats,
                     in_flight_gauge,
-                    device_gauge,
                     fleet_gauge,
                     planner,
                     fleet,
+                    fleet_changed: false,
                     telemetry: telemetry2,
                     sink,
                     dispatch_track,
                     timeline,
-                    serial_device: DeviceSummary {
-                        num_arrays,
-                        ..DeviceSummary::default()
-                    },
                     deferred: VecDeque::new(),
                     pending: HashMap::new(),
                     inflight_waiters: HashMap::new(),
@@ -690,7 +657,6 @@ impl StreamingService {
             stats,
             cache_stats,
             in_flight_gauge,
-            device_gauge,
             fleet_gauge,
             dispatcher: Some(dispatcher),
             started: Instant::now(),
@@ -768,14 +734,12 @@ impl StreamingService {
     #[must_use]
     pub fn stats(&self) -> ServeStats {
         let cache = *lock_clean(&self.cache_stats);
-        let device = *lock_clean(&self.device_gauge);
         let fleet = lock_clean(&self.fleet_gauge).clone();
         let stats = lock_clean(&self.stats);
         stats.snapshot(
             cache,
             self.ingress.len(),
             self.in_flight_gauge.load(Ordering::Relaxed),
-            device,
             fleet,
             self.started.elapsed().as_nanos() as u64,
             self.telemetry.summary(),
@@ -826,19 +790,23 @@ struct Dispatcher {
     stats: Arc<Mutex<StatsRecorder>>,
     cache_stats: Arc<Mutex<ResultCacheStats>>,
     in_flight_gauge: Arc<AtomicUsize>,
-    device_gauge: Arc<Mutex<DeviceSummary>>,
-    fleet_gauge: Arc<Mutex<Option<FleetSummary>>>,
-    /// Cost-aware width planner — present only under
-    /// [`ArrayPolicy::CostAware`]. Every device models the same
-    /// silicon, so one planner prices widths for the whole fleet.
-    planner: Option<ArrayPlanner>,
+    fleet_gauge: Arc<Mutex<FleetSummary>>,
+    /// The width planner: prices each job's width curve (cost-aware)
+    /// or its whole-core cost (all-arrays). Every device models the
+    /// same silicon, so one planner prices the whole fleet.
+    planner: ArrayPlanner,
     /// The two-level fleet scheduler: device picker over per-device
     /// ledgers, plus backfilling, deadline admission and elastic
-    /// sizing. Dispatch order fixes the placement order, so grants,
-    /// starts and waits are deterministic for a deterministic
-    /// admission sequence. A 1-device fleet is bit-identical to
-    /// driving one ledger directly.
+    /// sizing — the one device account under either array policy.
+    /// Dispatch order fixes the placement order, so grants, starts
+    /// and waits are deterministic for a deterministic admission
+    /// sequence. A 1-device fleet is bit-identical to driving one
+    /// ledger directly.
     fleet: FleetScheduler,
+    /// Set when this loop turn changed the fleet account (a
+    /// placement, rollback or probe); the fleet gauge is republished
+    /// only then.
+    fleet_changed: bool,
     /// The telemetry hub (inert when tracing is off).
     telemetry: Telemetry,
     /// The dispatcher thread's recorder.
@@ -849,10 +817,6 @@ struct Dispatcher {
     /// Lowers committed placements onto per-device/per-array
     /// device-cycle tracks at completion.
     timeline: DeviceTimeline,
-    /// All-arrays device accounting: each completed execution owns
-    /// the whole core for its critical path, serially. Accumulated at
-    /// completion (order-independent sums), so it needs no prediction.
-    serial_device: DeviceSummary,
     deferred: VecDeque<Held>,
     /// Outcomes are matched back by job id; duplicate ids queue up.
     pending: HashMap<u64, VecDeque<Pending>>,
@@ -893,23 +857,22 @@ impl Dispatcher {
         let _ = self.response_tx.send(response);
     }
 
-    fn publish_gauges(&self) {
+    fn publish_gauges(&mut self) {
         *lock_clean(&self.cache_stats) = self.cache.stats();
         self.in_flight_gauge
             .store(self.in_flight, Ordering::Relaxed);
-        if self.planner.is_some() {
-            let summary = self.fleet.summary();
-            *lock_clean(&self.device_gauge) = summary.combined();
-            *lock_clean(&self.fleet_gauge) = Some(summary);
-        } else {
-            *lock_clean(&self.device_gauge) = self.serial_device;
+        if std::mem::take(&mut self.fleet_changed) {
+            *lock_clean(&self.fleet_gauge) = self.fleet.summary();
         }
     }
 
     /// Drains the fleet scheduler's decision log and lowers it onto
-    /// the per-device trace tracks (device-cycle clock). A no-op when
-    /// tracing is off: the fleet records nothing then.
+    /// the per-device trace tracks (device-cycle clock); the fleet
+    /// records nothing when tracing is off. Every fleet change (a
+    /// placement, rollback or probe) ends here, so this also marks
+    /// the fleet gauge stale.
     fn lower_fleet_events(&mut self, job_id: u64) {
+        self.fleet_changed = true;
         for event in self.fleet.drain_events() {
             match event {
                 FleetEvent::Preview {
@@ -1196,10 +1159,6 @@ impl Dispatcher {
         // The admission decision span: width planning, device pick,
         // deadline check — the dispatcher-side cost of scheduling.
         if self.sink.is_enabled() {
-            let whole_core = self.config.engine.num_arrays.max(1);
-            let granted = placed
-                .as_ref()
-                .map_or(whole_core, |(_, p)| p.assignment.granted);
             let now = self.telemetry.now_ns();
             self.sink.span(
                 self.dispatch_track,
@@ -1207,7 +1166,7 @@ impl Dispatcher {
                 admit_start,
                 now.saturating_sub(admit_start),
                 held.job.id,
-                granted as u64,
+                placed.1.assignment.granted as u64,
             );
         }
         // Answer-now-verify-later: accurate requests get a second,
@@ -1230,7 +1189,7 @@ impl Dispatcher {
         // configs (no injection, no watchdog) skip the clone.
         let recoverable = self.injector.is_enabled() || self.config.watchdog.is_some();
         let record = Pending {
-            placed,
+            placed: Some(placed),
             job: recoverable.then(|| held.job.clone()),
             ..held.pending(self.backend_for(held.class.fidelity), spec)
         };
@@ -1245,34 +1204,35 @@ impl Dispatcher {
         }
     }
 
-    /// Places one execution on the fleet: the width planner's plan,
-    /// then one fleet admission under `deadline_cycles`. `backoff` is
-    /// `None` for an arrival at the fleet floor (`admit`) and
-    /// `Some(cycles)` for a retry arriving that far past it
-    /// (`admit_at`) — the two measure admission latency from
-    /// different references, and elastic sizing reads that latency.
-    /// Under the all-arrays policy nothing is placed (`Ok(None)`):
-    /// every execution owns the whole core.
+    /// Places one execution on the fleet: the cost-aware width plan,
+    /// admitted under `deadline_cycles`, or the all-arrays whole-core
+    /// cost, admitted unconditionally. `backoff` is `None` for an
+    /// arrival at the fleet floor and `Some(cycles)` for a retry
+    /// arriving that far past it (elastic sizing reads the admission
+    /// latency measured from either reference).
     fn place(
         &mut self,
         job: &Job,
         deadline_cycles: Option<u64>,
         backoff: Option<u64>,
-    ) -> Result<Option<(usize, Placement)>, DeadlineMiss> {
-        let Some(planner) = &mut self.planner else {
-            return Ok(None);
-        };
-        let plan = planner.plan_or_single(job);
-        let outcome = match backoff {
-            None => self.fleet.admit(&plan, deadline_cycles),
-            Some(backoff) => {
-                let arrival = self.fleet.floor().saturating_add(backoff);
-                self.fleet.admit_at(&plan, deadline_cycles, arrival)
+    ) -> Result<(usize, Placement), DeadlineMiss> {
+        let arrival = backoff.map(|backoff| self.fleet.floor().saturating_add(backoff));
+        let outcome = match self.config.engine.scheduling {
+            ArrayPolicy::AllArrays => {
+                let cost = self.planner.whole_core_cost(job);
+                FleetOutcome::Placed(self.fleet.admit_exclusive(&cost, arrival.unwrap_or(0)))
+            }
+            ArrayPolicy::CostAware(_) => {
+                let plan = self.planner.plan_or_single(job);
+                match arrival {
+                    None => self.fleet.admit(&plan, deadline_cycles),
+                    Some(arrival) => self.fleet.admit_at(&plan, deadline_cycles, arrival),
+                }
             }
         };
         self.lower_fleet_events(job.id);
         match outcome {
-            FleetOutcome::Placed(placed) => Ok(Some((placed.device, placed.placement))),
+            FleetOutcome::Placed(placed) => Ok((placed.device, placed.placement)),
             FleetOutcome::Rejected(miss) => Err(miss),
         }
     }
@@ -1379,35 +1339,18 @@ impl Dispatcher {
                 // backend's per-shard cycles are known: grant,
                 // gather-wait, per-shard busy (reduction sub-span) and
                 // idle gaps, plus the window-batch and scratch counters.
-                if self.sink.is_enabled() {
-                    let serial: Vec<usize>;
-                    let (device, arrays, start, duration, backfilled) = match &pending.placed {
-                        Some((device, p)) => (
-                            *device,
-                            p.arrays.as_slice(),
-                            p.start_cycle,
-                            p.duration_cycles,
-                            p.backfilled,
-                        ),
-                        None => {
-                            // All-arrays policy: the core is owned
-                            // serially, so synthesize the equivalent
-                            // serial placement (matching the
-                            // `serial_device` account below).
-                            serial = (0..result.arrays_granted).collect();
-                            let start = self.serial_device.makespan_cycles;
-                            (0, serial.as_slice(), start, result.sim_cycles, false)
-                        }
-                    };
+                if let Some((device, p)) =
+                    pending.placed.as_ref().filter(|_| self.sink.is_enabled())
+                {
                     let span = PlacedSpan {
-                        device,
+                        device: *device,
                         job_id: result.job_id,
-                        arrays,
-                        start,
-                        duration,
+                        arrays: &p.arrays,
+                        start: p.start_cycle,
+                        duration: p.duration_cycles,
                         wait_cycles: result.array_wait_cycles,
                         granted: result.arrays_granted as u64,
-                        backfilled,
+                        backfilled: p.backfilled,
                         per_shard_cycles: &result.per_shard_cycles,
                         reduction_cycles: result.reduction_cycles,
                     };
@@ -1417,20 +1360,10 @@ impl Dispatcher {
                         (Stage::StreamWindow, result.peak_scratch_elems),
                     ] {
                         if value > 0 {
-                            let track = self.timeline.device_track(device);
-                            self.sink.counter(track, stage, start + duration, value);
+                            let track = self.timeline.device_track(*device);
+                            self.sink.counter(track, stage, p.finish_cycle(), value);
                         }
                     }
-                }
-                // Under the all-arrays policy every execution owns the
-                // whole core in turn: device time accumulates serially
-                // (order-independent sums). The co-scheduled account
-                // lives in the ledger, updated at placement.
-                if self.planner.is_none() {
-                    self.serial_device.makespan_cycles += result.sim_cycles;
-                    self.serial_device.busy_cycles += result.total_array_cycles;
-                    self.serial_device.placements += 1;
-                    self.serial_device.granted_sum += result.arrays_granted as u64;
                 }
                 let arrays = array_use(&result);
                 let (job_id, job_name) = (result.job_id, std::mem::take(&mut result.job_name));
@@ -1607,20 +1540,20 @@ impl Dispatcher {
         let job_id = job.id;
         let backoff = (pending.attempt < self.config.max_retries)
             .then(|| RETRY_BACKOFF_BASE_CYCLES << pending.attempt);
-        // Deadline-free admission always places somewhere.
-        let placed = self.place(&job, None, backoff).ok().flatten();
+        // Deadline-free admission places somewhere unless a power cap
+        // leaves no room; the attempt then runs unplaced.
+        let placed = self.place(&job, None, backoff).ok();
         let backend = match backoff {
             Some(backoff) => {
-                if self.sink.is_enabled() {
-                    // All-arrays retries queue behind the serial
-                    // device clock.
-                    let (device, cycle) = placed.as_ref().map_or(
-                        (0, self.serial_device.makespan_cycles + backoff),
-                        |(d, p)| (*d, p.start_cycle),
+                if let Some((device, p)) = placed.as_ref().filter(|_| self.sink.is_enabled()) {
+                    let track = self.timeline.device_track(*device);
+                    self.sink.instant(
+                        track,
+                        Stage::Retry,
+                        p.start_cycle,
+                        job_id,
+                        u64::from(attempt),
                     );
-                    let track = self.timeline.device_track(device);
-                    self.sink
-                        .instant(track, Stage::Retry, cycle, job_id, u64::from(attempt));
                 }
                 self.telemetry.count(Counter::Retries, 1);
                 self.telemetry.count(Counter::RetryBackoffCycles, backoff);
@@ -1733,13 +1666,11 @@ impl Dispatcher {
             //     per device per fleet-floor advance. A healthy probe
             //     revives the device for routing; an unhealthy one
             //     re-arms at the next floor boundary.
-            if self.planner.is_some() {
-                for device in self.fleet.probe_candidates() {
-                    let healthy = self.injector.probe(device);
-                    self.fleet.record_probe(device, healthy);
-                    self.lower_fleet_events(device as u64);
-                    progressed = true;
-                }
+            for device in self.fleet.probe_candidates() {
+                let healthy = self.injector.probe(device);
+                self.fleet.record_probe(device, healthy);
+                self.lower_fleet_events(device as u64);
+                progressed = true;
             }
 
             // 2. Promote admission-held accurate jobs into free slots.
@@ -1785,6 +1716,7 @@ impl Dispatcher {
                 }
             }
 
+            // The fleet gauge republishes only on turns that changed it.
             self.publish_gauges();
 
             // 4. Ingress closed and every queue drained: done once

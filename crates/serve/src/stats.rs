@@ -301,16 +301,16 @@ pub struct ServeStats {
     pub avg_shard_utilization: f64,
     /// Device-time view of the array pool: makespan, busy
     /// array-cycles (packing efficiency via
-    /// [`DeviceSummary::occupancy`]), gather waits and grants. Under
-    /// co-scheduling this is the array-slot ledger's account; under
-    /// the all-arrays policy it is the serial whole-core equivalent
-    /// accumulated from completed executions.
+    /// [`DeviceSummary::occupancy`]), gather waits and grants — the
+    /// fleet's ledgers viewed as one device
+    /// ([`FleetSummary::combined`]). Jobs are placed at dispatch under
+    /// either policy: cost-aware grants under co-scheduling, whole-core
+    /// grants under the all-arrays policy.
     pub device: DeviceSummary,
-    /// Per-device fleet account when the dispatcher schedules through
-    /// the fleet (co-scheduling on): device summaries, elastic
-    /// joins/drains, deadline rejections. `None` under the all-arrays
-    /// policy. For a 1-device fleet `fleet.devices[0] == device`.
-    pub fleet: Option<FleetSummary>,
+    /// Per-device fleet account: device summaries, elastic
+    /// joins/drains, deadline rejections, health actions. For a
+    /// 1-device fleet `fleet.devices[0] == device`.
+    pub fleet: FleetSummary,
     /// Service uptime at snapshot, ns.
     pub uptime_ns: u64,
     /// Completed requests per wall-clock second since start.
@@ -411,27 +411,26 @@ impl fmt::Display for ServeStats {
                 self.device.backfills,
             )?;
         }
-        if let Some(fleet) = &self.fleet {
-            if fleet.devices.len() > 1 || fleet.joins + fleet.drains + fleet.rejections > 0 {
-                writeln!(
-                    f,
-                    "  fleet: {} device(s) active of {} (peak {}), {} joins, {} drains, \
-                     {} deadline rejections",
-                    fleet.active_devices,
-                    fleet.devices.len(),
-                    fleet.peak_devices,
-                    fleet.joins,
-                    fleet.drains,
-                    fleet.rejections,
-                )?;
-            }
-            if fleet.quarantines + fleet.probes + fleet.rollbacks > 0 {
-                writeln!(
-                    f,
-                    "  fleet health: {} quarantines, {} probes, {} revivals, {} rollbacks",
-                    fleet.quarantines, fleet.probes, fleet.revivals, fleet.rollbacks,
-                )?;
-            }
+        let fleet = &self.fleet;
+        if fleet.devices.len() > 1 || fleet.joins + fleet.drains + fleet.rejections > 0 {
+            writeln!(
+                f,
+                "  fleet: {} device(s) active of {} (peak {}), {} joins, {} drains, \
+                 {} deadline rejections",
+                fleet.active_devices,
+                fleet.devices.len(),
+                fleet.peak_devices,
+                fleet.joins,
+                fleet.drains,
+                fleet.rejections,
+            )?;
+        }
+        if fleet.quarantines + fleet.probes + fleet.rollbacks > 0 {
+            writeln!(
+                f,
+                "  fleet health: {} quarantines, {} probes, {} revivals, {} rollbacks",
+                fleet.quarantines, fleet.probes, fleet.revivals, fleet.rollbacks,
+            )?;
         }
         for c in &self.classes {
             if c.completed + c.rejected + c.failed == 0 {
@@ -673,14 +672,12 @@ impl StatsRecorder {
         self.max_deferred = self.max_deferred.max(depth);
     }
 
-    #[allow(clippy::too_many_arguments)] // one value object per subsystem being snapshotted
     pub(crate) fn snapshot(
         &self,
         cache: ResultCacheStats,
         queue_depth: usize,
         in_flight: usize,
-        device: DeviceSummary,
-        fleet: Option<FleetSummary>,
+        fleet: FleetSummary,
         uptime_ns: u64,
         telemetry: Option<TelemetrySummary>,
     ) -> ServeStats {
@@ -771,7 +768,7 @@ impl StatsRecorder {
             } else {
                 shard_util_total / completed as f64
             },
-            device,
+            device: fleet.combined(),
             fleet,
             uptime_ns,
             throughput_per_sec: if uptime_ns == 0 {
@@ -788,6 +785,12 @@ impl StatsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A snapshot of `rec` with every other subsystem at rest.
+    fn at_rest(rec: &StatsRecorder, uptime_ns: u64) -> ServeStats {
+        let (cache, fleet) = (ResultCacheStats::default(), FleetSummary::default());
+        rec.snapshot(cache, 0, 0, fleet, uptime_ns, None)
+    }
 
     #[test]
     fn percentiles_use_nearest_rank() {
@@ -823,15 +826,7 @@ mod tests {
         }
         let accum = &rec.latencies[class.index()];
         assert_eq!(accum.reservoir.len(), RESERVOIR_CAP, "reservoir is bounded");
-        let snap = rec.snapshot(
-            ResultCacheStats::default(),
-            0,
-            0,
-            DeviceSummary::default(),
-            None,
-            1,
-            None,
-        );
+        let snap = at_rest(&rec, 1);
         let c = snap.class(class);
         assert_eq!(c.completed, n, "count stays exact past the bound");
         assert_eq!(c.max_ns, n, "max stays exact past the bound");
@@ -855,15 +850,7 @@ mod tests {
         rec.record_completion(class, 500, false, two_arrays());
         rec.record_coalesced(class, 400, two_arrays());
         rec.record_coalesced(class, 2_000, two_arrays());
-        let snap = rec.snapshot(
-            ResultCacheStats::default(),
-            0,
-            0,
-            DeviceSummary::default(),
-            None,
-            1,
-            None,
-        );
+        let snap = at_rest(&rec, 1);
         let c = snap.class(class);
         assert_eq!(c.completed, 3);
         assert_eq!(c.coalesced, 2);
@@ -902,15 +889,7 @@ mod tests {
         rec.record_completion(class, 500, false, ArrayUse::single());
         rec.record_completion(class, 1_500, true, ArrayUse::single());
         rec.record_completion(class, 2_000, false, ArrayUse::single());
-        let snap = rec.snapshot(
-            ResultCacheStats::default(),
-            0,
-            0,
-            DeviceSummary::default(),
-            None,
-            1_000_000_000,
-            None,
-        );
+        let snap = at_rest(&rec, 1_000_000_000);
         let c = snap.class(class);
         assert_eq!(c.completed, 3);
         assert_eq!(c.cache_hits, 1);

@@ -315,12 +315,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "\nrecovery: {} retries, {} degraded answers, {} failed",
             final_stats.retries, final_stats.degraded, final_stats.failed,
         );
-        if let Some(fleet) = &final_stats.fleet {
-            println!(
-                "fleet health: {} quarantines, {} rollbacks, {} probes, {} revivals",
-                fleet.quarantines, fleet.rollbacks, fleet.probes, fleet.revivals,
-            );
-        }
+        let fleet = &final_stats.fleet;
+        println!(
+            "fleet health: {} quarantines, {} rollbacks, {} probes, {} revivals",
+            fleet.quarantines, fleet.rollbacks, fleet.probes, fleet.revivals,
+        );
     }
 
     if scratch_budget.is_some() {
@@ -359,12 +358,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             final_stats.dynamic_energy_pj * 1e-3,
             residency.join(", "),
         );
-        if let Some(fleet) = &final_stats.fleet {
-            println!(
-                "fleet power: peak {:.1} mW, planned {} pJ scheduled",
-                fleet.peak_power_mw, fleet.planned_energy_pj,
-            );
-        }
+        println!(
+            "fleet power: peak {:.1} mW, planned {} pJ scheduled",
+            final_stats.fleet.peak_power_mw, final_stats.fleet.planned_energy_pj,
+        );
     }
 
     if let Some(path) = &trace_out {

@@ -251,7 +251,7 @@ fn outage_quarantines_probes_and_revives_without_losing_requests() {
     let (chaotic, stats) = serve_all(config, &requests);
     assert_eq!(chaotic, clean, "re-routed work answers identically");
 
-    let fleet = stats.fleet.expect("2-device fleet publishes a summary");
+    let fleet = stats.fleet;
     assert!(stats.retries >= 1, "outage placements must be retried");
     assert_eq!(
         fleet.quarantines, 1,
@@ -318,4 +318,28 @@ fn shutdown_drain_is_bounded_and_surfaced() {
             .any(|r| matches!(r.outcome, ResponseOutcome::Failed(_))),
         "the straggler's failure response is delivered"
     );
+}
+
+/// All-arrays recovery keeps the one device ledger exact: on a
+/// 1-device, whole-core service, injected transients are retried and
+/// their grants rolled back, nothing is lost, every answer matches
+/// the fault-free digests, and the placement count is a census of
+/// the executions that answered a client — as under co-scheduling.
+#[test]
+fn all_arrays_rollbacks_keep_the_ledger_a_census_of_live_grants() {
+    let requests = workload(24, 0xA11A);
+    let base = ServeConfig::new().with_workers(2).with_arrays(4);
+    let base = base.with_admission(4, 64);
+    let (clean, _) = serve_all(base.clone(), &requests);
+    let chaos = base.with_chaos(FaultPlan::new(11, 0.3).with_weights(0, 0));
+    let (chaotic, stats) = serve_all(chaos, &requests);
+    assert_eq!(chaotic, clean, "recovered answers carry the right bits");
+    assert!(stats.retries >= 1, "a 30% transient rate must retry");
+    let fleet = &stats.fleet;
+    assert!(fleet.rollbacks >= 1 && fleet.quarantines == 0, "{fleet:?}");
+    // Every request is unique, so each answered with one execution.
+    let device = stats.device;
+    assert_eq!(device.placements, requests.len() as u64);
+    assert_eq!(device.granted_sum, 4 * device.placements);
+    assert_eq!(fleet.devices[0], device);
 }

@@ -12,6 +12,7 @@ use rand::{RngExt, SeedableRng};
 use tempus::arith::IntPrecision;
 use tempus::core::gemm::Matrix;
 use tempus::models::netbuild;
+use tempus::models::traffic::{generate, TraceConfig};
 use tempus::models::zoo::Model;
 use tempus::nvdla::conv::ConvParams;
 use tempus::nvdla::cube::{DataCube, KernelSet};
@@ -20,6 +21,7 @@ use tempus::serve::{
     CacheOutcome, Fidelity, RejectReason, Request, ResponseOutcome, ServeConfig, StreamingService,
     SubmitError,
 };
+use tempus::telemetry::{Clock, EventKind, Stage};
 
 fn random_conv_job(id: u64, seed: u64) -> Job {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -459,4 +461,80 @@ fn co_scheduled_serving_is_bit_identical_to_all_arrays() {
         on_stats.classes.iter().any(|c| c.arrays_granted > 1.0),
         "the wide convs should have been granted multiple arrays"
     );
+}
+
+/// All-arrays serving keeps its device account on the fleet ledger,
+/// placed in dispatch order: three runs of one trace lay every
+/// execution on the same device-cycle spans whatever order the
+/// workers finish in, and the account is exactly the executed cycles
+/// on both the functional and the Tempus backend.
+#[test]
+fn all_arrays_device_account_is_placed_at_dispatch() {
+    let config = TraceConfig::new(24)
+        .with_requests(40)
+        .with_repeat_fraction(0.4);
+    let trace = generate(&config.with_accurate_fraction(0.0));
+    for (kind, fidelity) in [
+        (BackendKind::FastFunctional, Fidelity::Fast),
+        (BackendKind::TempusCycleAccurate, Fidelity::Accurate),
+    ] {
+        let run = || {
+            let config = ServeConfig::new().with_workers(2).with_arrays(4);
+            let service = StreamingService::start(config.with_admission(4, 64).with_tracing());
+            let service = service.expect("service starts");
+            for t in &trace {
+                let request = Request {
+                    fidelity,
+                    ..Request::from_trace(t)
+                };
+                service.submit(request).expect("submit");
+            }
+            let (mut executed, mut served_cycles) = (Vec::new(), 0);
+            for _ in 0..trace.len() {
+                let response = service.recv_response(Duration::from_secs(120)).unwrap();
+                let ResponseOutcome::Done(result) = response.outcome else {
+                    panic!("request {} was not served", response.job_id);
+                };
+                if result.cache == CacheOutcome::Miss {
+                    served_cycles += result.sim_cycles;
+                    executed.push(Request::from_trace(&trace[response.job_id as usize]).job);
+                }
+            }
+            let telemetry = service.telemetry();
+            let (stats, _) = service.shutdown();
+            let export = telemetry.export().expect("traced run exports");
+            // Idle-gap spans are derived in the order placements are
+            // observed, so only the job spans are compared.
+            let mut spans: Vec<(u64, u64, u64)> = (export.events.iter())
+                .filter(|e| e.kind == EventKind::Span && e.stage != Stage::ArrayIdle)
+                .filter(|e| export.tracks[e.track.0 as usize].clock == Clock::Device)
+                .map(|e| (e.id, e.ts, e.dur))
+                .collect();
+            spans.sort_unstable();
+            (spans, stats, executed, served_cycles)
+        };
+        let (spans, stats, executed, served_cycles) = run();
+        assert!(
+            !spans.is_empty() && executed.len() < trace.len(),
+            "{kind:?}"
+        );
+        for _ in 0..2 {
+            assert_eq!(run().0, spans, "{kind:?}: device spans must replay");
+        }
+        let (device, n) = (stats.device, executed.len() as u64);
+        let account = (
+            device.makespan_cycles,
+            device.placements,
+            device.granted_sum,
+        );
+        assert_eq!(account, (served_cycles, n, 4 * n), "{kind:?}");
+        assert_eq!(device.level_residency[0], 4 * served_cycles);
+        assert_eq!(stats.fleet.devices[0], device);
+        // The batch engine folds the executed results through the same
+        // whole-core ledger: the two accounts agree field for field.
+        let engine = InferenceEngine::new(EngineConfig::new(kind).with_workers(2).with_arrays(4));
+        let batch = engine.unwrap().run_batch(&executed).unwrap().aggregate;
+        assert_eq!(device.busy_cycles, batch.total_array_cycles, "{kind:?}");
+        assert_eq!(device, batch.device, "{kind:?}");
+    }
 }
