@@ -17,6 +17,7 @@ use tempus_bench::experiments::{
 };
 use tempus_bench::{write_result, SEED};
 use tempus_hwmodel::{PnrModel, SynthModel};
+use tempus_telemetry::json::{self, Fixed};
 
 /// Every experiment name `report` accepts, in run order.
 const EXPERIMENTS: [&str; 24] = [
@@ -516,15 +517,18 @@ fn main() {
     }
 
     if !index.is_empty() {
-        let mut json = String::from("{\n  \"index\": [\n");
-        for (i, (experiment, metric, value)) in index.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"file\": \"BENCH_{experiment}.json\", \"experiment\": \"{experiment}\", \
-                 \"metric\": \"{metric}\", \"value\": {value:.4}}}{}\n",
-                if i + 1 == index.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
+        let json = json::object(|o| {
+            o.array("index", |a| {
+                for (experiment, metric, value) in &index {
+                    a.object(|o| {
+                        o.field("file", format!("BENCH_{experiment}.json"))
+                            .field("experiment", *experiment)
+                            .field("metric", *metric)
+                            .field("value", Fixed(*value, 4));
+                    });
+                }
+            });
+        });
         write_result(&results, "BENCH_index.json", &json).expect("write bench index");
         println!(
             "consolidated {} headline metrics into BENCH_index.json",

@@ -17,6 +17,7 @@ use tempus_serve::{
     percentile, CacheOutcome, FaultPlan, Request, ResponseOutcome, ServeConfig, ServeStats,
     StreamingService,
 };
+use tempus_telemetry::json::{self, Fixed, Hex};
 
 /// Watchdog base deadline used by every chaos scenario: small enough
 /// that injected stalls recover in milliseconds, large enough that no
@@ -27,7 +28,7 @@ use tempus_serve::{
 const WATCHDOG_MS: u64 = if cfg!(debug_assertions) { 100 } else { 10 };
 
 /// One serving pass under one fault plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosScenario {
     /// Scenario label (`fault-free`, `rate-5pct`, ...).
     pub label: String,
@@ -90,7 +91,7 @@ impl ChaosScenario {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosRecoveryReport {
     /// Trace seed (also seeds every fault plan).
     pub seed: u64,
@@ -290,59 +291,45 @@ pub fn run(seed: u64, quick: bool) -> ChaosRecoveryReport {
 }
 
 impl ChaosRecoveryReport {
-    /// Machine-readable JSON summary (hand-rolled; the workspace has
-    /// no serde).
+    /// Machine-readable JSON summary.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"experiment\": \"chaos_recovery\",\n");
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"requests\": {},\n", self.requests));
-        s.push_str(&format!("  \"devices\": {},\n", self.devices));
-        s.push_str(&format!("  \"arrays\": {},\n", self.arrays));
-        s.push_str(&format!(
-            "  \"zero_lost_and_bit_identical\": {},\n",
-            self.zero_lost_and_bit_identical()
-        ));
-        s.push_str(&format!(
-            "  \"p99_inflation_bounded\": {},\n",
-            self.p99_inflation_bounded()
-        ));
-        s.push_str("  \"scenarios\": [\n");
-        for (i, c) in self.scenarios.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"fault_rate\": {:.2}, \"submitted\": {}, \
-                 \"done\": {}, \"failed\": {}, \"rejected\": {}, \"lost\": {}, \
-                 \"retries\": {}, \"degraded\": {}, \"quarantines\": {}, \"probes\": {}, \
-                 \"revivals\": {}, \"rollbacks\": {}, \"live_placements\": {}, \
-                 \"cold_executions\": {}, \"digest\": \"{:016x}\", \"p99_ms\": {:.3}, \
-                 \"wall_s\": {:.4}}}{}\n",
-                c.label,
-                c.fault_rate,
-                c.submitted,
-                c.done,
-                c.failed,
-                c.rejected,
-                c.lost,
-                c.retries,
-                c.degraded,
-                c.quarantines,
-                c.probes,
-                c.revivals,
-                c.rollbacks,
-                c.live_placements,
-                c.cold_executions,
-                c.digest,
-                c.p99_ms,
-                c.wall_s,
-                if i + 1 == self.scenarios.len() {
-                    ""
-                } else {
-                    ","
+        json::object(|o| {
+            o.field("experiment", "chaos_recovery")
+                .field("seed", self.seed)
+                .field("requests", self.requests)
+                .field("devices", self.devices)
+                .field("arrays", self.arrays)
+                .field(
+                    "zero_lost_and_bit_identical",
+                    self.zero_lost_and_bit_identical(),
+                )
+                .field("p99_inflation_bounded", self.p99_inflation_bounded());
+            o.array("scenarios", |a| {
+                for c in &self.scenarios {
+                    a.object(|o| {
+                        o.field("label", &c.label)
+                            .field("fault_rate", Fixed(c.fault_rate, 2))
+                            .field("submitted", c.submitted)
+                            .field("done", c.done)
+                            .field("failed", c.failed)
+                            .field("rejected", c.rejected)
+                            .field("lost", c.lost)
+                            .field("retries", c.retries)
+                            .field("degraded", c.degraded)
+                            .field("quarantines", c.quarantines)
+                            .field("probes", c.probes)
+                            .field("revivals", c.revivals)
+                            .field("rollbacks", c.rollbacks)
+                            .field("live_placements", c.live_placements)
+                            .field("cold_executions", c.cold_executions)
+                            .field("digest", Hex(c.digest))
+                            .field("p99_ms", Fixed(c.p99_ms, 3))
+                            .field("wall_s", Fixed(c.wall_s, 4));
+                    });
                 }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+            });
+        })
     }
 
     /// Human-readable markdown summary.
@@ -401,15 +388,17 @@ mod tests {
             .map(|s| s.retries + s.degraded)
             .sum();
         assert!(faulted > 0, "5%/10% rates must actually inject faults");
+        let json = report.to_json();
+        assert!(json.contains("\"zero_lost_and_bit_identical\": true"));
     }
 
     #[test]
     fn json_summary_is_well_formed_enough() {
-        let report = run(7, true);
-        let json = report.to_json();
-        assert!(json.contains("\"experiment\": \"chaos_recovery\""));
-        assert!(json.contains("\"zero_lost_and_bit_identical\": true"));
-        assert!(json.contains("\"scenarios\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let report = ChaosRecoveryReport {
+            scenarios: vec![ChaosScenario::default()],
+            ..ChaosRecoveryReport::default()
+        };
+        let committed = include_str!("../../../../results/BENCH_chaos_recovery.json");
+        crate::assert_keys_match(&report.to_json(), committed);
     }
 }

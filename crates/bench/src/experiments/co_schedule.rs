@@ -27,9 +27,10 @@ use tempus_models::traffic::{generate, TraceConfig, TraceRequest};
 use tempus_nvdla::cube::fnv1a;
 use tempus_runtime::{ArrayLedger, ArrayPlanner, EngineConfig, Job};
 use tempus_serve::{percentile, Request, ResponseOutcome, ServeConfig, StreamingService};
+use tempus_telemetry::json::{self, Fixed, Hex};
 
 /// One policy's deterministic device-time replay.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceReplay {
     /// `all-arrays` or `cost-aware`.
     pub policy: &'static str,
@@ -48,7 +49,7 @@ pub struct DeviceReplay {
 }
 
 /// One live pass through the streaming service.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServicePass {
     /// `all-arrays` or `cost-aware`.
     pub policy: &'static str,
@@ -70,7 +71,7 @@ pub struct ServicePass {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoScheduleReport {
     /// Trace seed.
     pub seed: u64,
@@ -256,58 +257,46 @@ pub fn run(seed: u64, quick: bool) -> CoScheduleReport {
 }
 
 impl CoScheduleReport {
-    /// Machine-readable JSON summary (hand-rolled; the workspace has
-    /// no serde).
+    /// Machine-readable JSON summary.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"experiment\": \"co_schedule\",\n  \"seed\": {},\n  \
-             \"requests\": {},\n  \"num_arrays\": {},\n  \"wide_convs\": {},\n  \
-             \"digests_equal\": {},\n  \"makespan_speedup\": {:.3},\n  \
-             \"p95_speedup\": {:.3},\n  \"device\": [\n",
-            self.seed,
-            self.requests,
-            self.num_arrays,
-            self.wide_convs,
-            self.digests_equal(),
-            self.makespan_speedup(),
-            self.p95_speedup(),
-        );
-        for (i, d) in self.device.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"policy\": \"{}\", \"makespan_cycles\": {}, \"occupancy\": {:.4}, \
-                 \"total_wait_cycles\": {}, \"avg_arrays_granted\": {:.3}, \
-                 \"p50_finish_cycles\": {}, \"p95_finish_cycles\": {}}}{}\n",
-                d.policy,
-                d.makespan_cycles,
-                d.occupancy,
-                d.total_wait_cycles,
-                d.avg_arrays_granted,
-                d.p50_finish_cycles,
-                d.p95_finish_cycles,
-                if i + 1 == self.device.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ],\n  \"service\": [\n");
-        for (i, p) in self.service.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"policy\": \"{}\", \"completed\": {}, \"wall_s\": {:.6}, \
-                 \"device_makespan_cycles\": {}, \"device_occupancy\": {:.4}, \
-                 \"device_wait_cycles\": {}, \"avg_arrays_granted\": {:.3}, \
-                 \"digest\": \"{:016x}\"}}{}\n",
-                p.policy,
-                p.completed,
-                p.wall_s,
-                p.device_makespan_cycles,
-                p.device_occupancy,
-                p.device_wait_cycles,
-                p.avg_arrays_granted,
-                p.digest,
-                if i + 1 == self.service.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::object(|o| {
+            o.field("experiment", "co_schedule")
+                .field("seed", self.seed)
+                .field("requests", self.requests)
+                .field("num_arrays", self.num_arrays)
+                .field("wide_convs", self.wide_convs)
+                .field("digests_equal", self.digests_equal())
+                .field("makespan_speedup", Fixed(self.makespan_speedup(), 3))
+                .field("p95_speedup", Fixed(self.p95_speedup(), 3));
+            o.array("device", |a| {
+                for d in &self.device {
+                    a.object(|o| {
+                        o.field("policy", d.policy)
+                            .field("makespan_cycles", d.makespan_cycles)
+                            .field("occupancy", Fixed(d.occupancy, 4))
+                            .field("total_wait_cycles", d.total_wait_cycles)
+                            .field("avg_arrays_granted", Fixed(d.avg_arrays_granted, 3))
+                            .field("p50_finish_cycles", d.p50_finish_cycles)
+                            .field("p95_finish_cycles", d.p95_finish_cycles);
+                    });
+                }
+            });
+            o.array("service", |a| {
+                for p in &self.service {
+                    a.object(|o| {
+                        o.field("policy", p.policy)
+                            .field("completed", p.completed)
+                            .field("wall_s", Fixed(p.wall_s, 6))
+                            .field("device_makespan_cycles", p.device_makespan_cycles)
+                            .field("device_occupancy", Fixed(p.device_occupancy, 4))
+                            .field("device_wait_cycles", p.device_wait_cycles)
+                            .field("avg_arrays_granted", Fixed(p.avg_arrays_granted, 3))
+                            .field("digest", Hex(p.digest));
+                    });
+                }
+            });
+        })
     }
 
     /// Human-readable markdown summary.
@@ -366,6 +355,7 @@ mod tests {
             "the mixed trace must contain wide convs"
         );
         assert!(report.digests_equal(), "policies diverged in outputs");
+        assert!(report.to_json().contains("\"digests_equal\": true"));
         assert!(
             report.makespan_speedup() >= 1.3,
             "makespan win too small: {:.2}x",
@@ -409,10 +399,12 @@ mod tests {
 
     #[test]
     fn json_summary_is_well_formed_enough() {
-        let report = run(7, true);
-        let json = report.to_json();
-        assert!(json.contains("\"experiment\": \"co_schedule\""));
-        assert!(json.contains("\"digests_equal\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let report = CoScheduleReport {
+            device: vec![DeviceReplay::default(); 2],
+            service: vec![ServicePass::default(); 2],
+            ..CoScheduleReport::default()
+        };
+        let committed = include_str!("../../../../results/BENCH_co_schedule.json");
+        crate::assert_keys_match(&report.to_json(), committed);
     }
 }

@@ -33,12 +33,13 @@ use tempus_serve::{
     percentile, Fidelity, GovernorPolicy, Request, ResponseOutcome, ServeConfig, ServeStats,
     StreamingService,
 };
+use tempus_telemetry::json::{self, Fixed, Hex};
 
 /// Nanoseconds per nominal device cycle (250 MHz).
 const PERIOD_NS: f64 = 4.0;
 
 /// Section A: bit-identity with every DVFS feature off.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IdentitySection {
     /// Requests replayed per run.
     pub requests: usize,
@@ -55,7 +56,7 @@ pub struct IdentitySection {
 
 /// One (frequency level, latency, energy) point of the plan's Pareto
 /// frontier.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ParetoRow {
     /// DVFS ladder level.
     pub level: u8,
@@ -68,7 +69,7 @@ pub struct ParetoRow {
 }
 
 /// Section B: power-capped admission on a closed-form fleet stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PowerSection {
     /// Jobs admitted per run.
     pub jobs: usize,
@@ -99,7 +100,7 @@ pub struct PowerSection {
 }
 
 /// Section C: answer-now-verify-later serving.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpeculativeSection {
     /// Requests replayed per pass.
     pub requests: usize,
@@ -126,7 +127,7 @@ pub struct SpeculativeSection {
 }
 
 /// Section D: the occupancy-driven governor on a sparse stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GovernorSection {
     /// Jobs admitted.
     pub jobs: usize,
@@ -137,7 +138,7 @@ pub struct GovernorSection {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DvfsParetoReport {
     /// Trace seed.
     pub seed: u64,
@@ -431,80 +432,74 @@ impl DvfsParetoReport {
         self.governor.freq_changes >= 1 && self.governor.downshifted_residency_cycles > 0
     }
 
-    /// Machine-readable JSON summary (hand-rolled; the workspace has
-    /// no serde).
+    /// Machine-readable JSON summary.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut frontier = String::new();
-        for (i, r) in self.power.frontier.iter().enumerate() {
-            frontier.push_str(&format!(
-                "      {{\"level\": {}, \"latency_cycles\": {}, \"energy_pj\": {}, \
-                 \"avg_power_mw\": {:.2}}}{}\n",
-                r.level,
-                r.latency_cycles,
-                r.energy_pj,
-                r.avg_power_mw,
-                if i + 1 == self.power.frontier.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        format!(
-            "{{\n  \"experiment\": \"dvfs_pareto\",\n  \"seed\": {},\n  \
-             \"identity\": {{\"requests\": {}, \"digest\": \"{:016x}\", \
-             \"digests_equal\": {}, \"freq_changes\": {}, \"upper_residency_cycles\": {}}},\n  \
-             \"power\": {{\"jobs\": {}, \"cap_mw\": {:.2}, \"uncapped_peak_power_mw\": {:.2}, \
-             \"capped_peak_power_mw\": {:.2}, \"uncapped_energy_pj\": {}, \
-             \"capped_energy_pj\": {}, \"energy_drop\": {:.4}, \
-             \"uncapped_latency_cycles\": {}, \"capped_latency_cycles\": {}, \
-             \"latency_inflation\": {:.4}, \"chosen_level\": {}, \"rejections\": {},\n    \
-             \"frontier\": [\n{}    ]}},\n  \
-             \"speculative\": {{\"requests\": {}, \"accurate\": {}, \"digests_equal\": {}, \
-             \"baseline_p50_ns\": {}, \"speculative_p50_ns\": {}, \"p50_speedup\": {:.2}, \
-             \"answers\": {}, \"verified\": {}, \"mismatches\": {}, \"failed\": {}}},\n  \
-             \"governor\": {{\"jobs\": {}, \"freq_changes\": {}, \
-             \"downshifted_residency_cycles\": {}}},\n  \
-             \"gates\": {{\"identity\": {}, \"power\": {}, \"speculative\": {}, \
-             \"governor\": {}}}\n}}\n",
-            self.seed,
-            self.identity.requests,
-            self.identity.digest_a,
-            self.identity.digest_a == self.identity.digest_b,
-            self.identity.freq_changes,
-            self.identity.upper_residency_cycles,
-            self.power.jobs,
-            self.power.cap_mw,
-            self.power.uncapped_peak_power_mw,
-            self.power.capped_peak_power_mw,
-            self.power.uncapped_energy_pj,
-            self.power.capped_energy_pj,
-            self.power.energy_drop,
-            self.power.uncapped_latency_cycles,
-            self.power.capped_latency_cycles,
-            self.power.latency_inflation,
-            self.power.chosen_level,
-            self.power.rejections,
-            frontier,
-            self.speculative.requests,
-            self.speculative.accurate,
-            self.speculative.digests_equal,
-            self.speculative.baseline_p50_ns,
-            self.speculative.speculative_p50_ns,
-            self.speculative.p50_speedup,
-            self.speculative.answers,
-            self.speculative.verified,
-            self.speculative.mismatches,
-            self.speculative.failed,
-            self.governor.jobs,
-            self.governor.freq_changes,
-            self.governor.downshifted_residency_cycles,
-            self.identity_holds(),
-            self.power_gate_holds(),
-            self.speculative_gate_holds(),
-            self.governor_active(),
-        )
+        json::object(|o| {
+            o.field("experiment", "dvfs_pareto")
+                .field("seed", self.seed);
+            let id = &self.identity;
+            o.object("identity", |o| {
+                o.field("requests", id.requests)
+                    .field("digest", Hex(id.digest_a))
+                    .field("digests_equal", id.digest_a == id.digest_b)
+                    .field("freq_changes", id.freq_changes)
+                    .field("upper_residency_cycles", id.upper_residency_cycles);
+            });
+            let p = &self.power;
+            o.object("power", |o| {
+                o.field("jobs", p.jobs)
+                    .field("cap_mw", Fixed(p.cap_mw, 2))
+                    .field("uncapped_peak_power_mw", Fixed(p.uncapped_peak_power_mw, 2))
+                    .field("capped_peak_power_mw", Fixed(p.capped_peak_power_mw, 2))
+                    .field("uncapped_energy_pj", p.uncapped_energy_pj)
+                    .field("capped_energy_pj", p.capped_energy_pj)
+                    .field("energy_drop", Fixed(p.energy_drop, 4))
+                    .field("uncapped_latency_cycles", p.uncapped_latency_cycles)
+                    .field("capped_latency_cycles", p.capped_latency_cycles)
+                    .field("latency_inflation", Fixed(p.latency_inflation, 4))
+                    .field("chosen_level", p.chosen_level)
+                    .field("rejections", p.rejections);
+                o.array("frontier", |a| {
+                    for r in &p.frontier {
+                        a.object(|o| {
+                            o.field("level", r.level)
+                                .field("latency_cycles", r.latency_cycles)
+                                .field("energy_pj", r.energy_pj)
+                                .field("avg_power_mw", Fixed(r.avg_power_mw, 2));
+                        });
+                    }
+                });
+            });
+            let s = &self.speculative;
+            o.object("speculative", |o| {
+                o.field("requests", s.requests)
+                    .field("accurate", s.accurate)
+                    .field("digests_equal", s.digests_equal)
+                    .field("baseline_p50_ns", s.baseline_p50_ns)
+                    .field("speculative_p50_ns", s.speculative_p50_ns)
+                    .field("p50_speedup", Fixed(s.p50_speedup, 2))
+                    .field("answers", s.answers)
+                    .field("verified", s.verified)
+                    .field("mismatches", s.mismatches)
+                    .field("failed", s.failed);
+            });
+            let g = &self.governor;
+            o.object("governor", |o| {
+                o.field("jobs", g.jobs)
+                    .field("freq_changes", g.freq_changes)
+                    .field(
+                        "downshifted_residency_cycles",
+                        g.downshifted_residency_cycles,
+                    );
+            });
+            o.object("gates", |o| {
+                o.field("identity", self.identity_holds())
+                    .field("power", self.power_gate_holds())
+                    .field("speculative", self.speculative_gate_holds())
+                    .field("governor", self.governor_active());
+            });
+        })
     }
 
     /// Human-readable markdown summary.
@@ -577,11 +572,9 @@ mod tests {
 
     #[test]
     fn json_summary_is_well_formed_enough() {
-        let report = run(42, true);
-        let json = report.to_json();
-        assert!(json.contains("\"experiment\": \"dvfs_pareto\""));
-        assert!(json.contains("\"frontier\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"gates\""));
+        let mut report = DvfsParetoReport::default();
+        report.power.frontier.push(ParetoRow::default());
+        let committed = include_str!("../../../../results/BENCH_dvfs_pareto.json");
+        crate::assert_keys_match(&report.to_json(), committed);
     }
 }

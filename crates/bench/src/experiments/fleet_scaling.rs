@@ -27,6 +27,7 @@ use tempus_runtime::{
     ArrayPlanner, BackendKind, EngineConfig, FunctionalBackend, InferenceBackend, Job,
 };
 use tempus_serve::Request;
+use tempus_telemetry::json::{self, Fixed, Hex};
 
 /// Per-class deadlines for the measured (scaling) axis, in device
 /// cycles. Sized so every zero-load placement meets its class
@@ -50,7 +51,7 @@ fn interactive_deadline() -> ClassDeadlines {
 }
 
 /// One device-count point on the scaling frontier.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScalingRow {
     /// Devices in the (fixed) fleet.
     pub devices: usize,
@@ -71,7 +72,7 @@ pub struct ScalingRow {
 }
 
 /// FIFO vs backfilling at a fixed device count.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BackfillRow {
     /// Devices in both fleets.
     pub devices: usize,
@@ -92,7 +93,7 @@ pub struct BackfillRow {
 
 /// One load level on the admission frontier: drop-on-timeout vs
 /// deadline-aware admission at the same open-loop load.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdmissionRow {
     /// Arrival rate as a multiple of the fleet's measured service
     /// rate — above 1.0 the backlog grows without bound, and queueing
@@ -115,7 +116,7 @@ pub struct AdmissionRow {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetScalingReport {
     /// Trace seed.
     pub seed: u64,
@@ -414,74 +415,58 @@ pub fn run(seed: u64, quick: bool) -> FleetScalingReport {
 }
 
 impl FleetScalingReport {
-    /// Machine-readable JSON summary (hand-rolled; the workspace has
-    /// no serde).
+    /// Machine-readable JSON summary.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"experiment\": \"fleet_scaling\",\n  \"seed\": {},\n  \
-             \"requests\": {},\n  \"num_arrays\": {},\n  \
-             \"comparison_devices\": {},\n  \"digests_equal\": {},\n  \
-             \"backfill_reclaims\": {},\n  \"admission_wins\": {},\n  \
-             \"scaling\": [\n",
-            self.seed,
-            self.requests,
-            self.num_arrays,
-            self.comparison_devices,
-            self.digests_equal(),
-            self.backfill_reclaims(),
-            self.admission_wins(),
-        );
-        for (i, r) in self.scaling.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"devices\": {}, \"makespan_cycles\": {}, \
-                 \"goodput_jobs_per_mcycle\": {:.3}, \"occupancy\": {:.4}, \
-                 \"total_wait_cycles\": {}, \"slo_compliance\": {:.4}, \
-                 \"digest\": \"{:016x}\"}}{}\n",
-                r.devices,
-                r.makespan_cycles,
-                r.goodput_jobs_per_mcycle,
-                r.occupancy,
-                r.total_wait_cycles,
-                r.slo_compliance,
-                r.digest,
-                if i + 1 == self.scaling.len() { "" } else { "," },
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"backfill\": {{\"devices\": {}, \"fifo_idle_gap_cycles\": {}, \
-             \"backfill_idle_gap_cycles\": {}, \"backfills\": {}, \
-             \"fifo_makespan_cycles\": {}, \"backfill_makespan_cycles\": {}, \
-             \"digests_equal\": {}}},\n  \"admission\": [\n",
-            self.backfill.devices,
-            self.backfill.fifo_idle_gap_cycles,
-            self.backfill.backfill_idle_gap_cycles,
-            self.backfill.backfills,
-            self.backfill.fifo_makespan_cycles,
-            self.backfill.backfill_makespan_cycles,
-            self.backfill.digests_equal,
-        ));
-        for (i, r) in self.admission.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"load\": {:.2}, \"interarrival_cycles\": {}, \
-                 \"compliance_timeout\": {:.4}, \"compliance_admission\": {:.4}, \
-                 \"rejections\": {}, \"met_timeout\": {}, \"met_admission\": {}}}{}\n",
-                r.load,
-                r.interarrival_cycles,
-                r.compliance_timeout,
-                r.compliance_admission,
-                r.rejections,
-                r.met_timeout,
-                r.met_admission,
-                if i + 1 == self.admission.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::object(|o| {
+            o.field("experiment", "fleet_scaling")
+                .field("seed", self.seed)
+                .field("requests", self.requests)
+                .field("num_arrays", self.num_arrays)
+                .field("comparison_devices", self.comparison_devices)
+                .field("digests_equal", self.digests_equal())
+                .field("backfill_reclaims", self.backfill_reclaims())
+                .field("admission_wins", self.admission_wins());
+            o.array("scaling", |a| {
+                for r in &self.scaling {
+                    a.object(|o| {
+                        o.field("devices", r.devices)
+                            .field("makespan_cycles", r.makespan_cycles)
+                            .field(
+                                "goodput_jobs_per_mcycle",
+                                Fixed(r.goodput_jobs_per_mcycle, 3),
+                            )
+                            .field("occupancy", Fixed(r.occupancy, 4))
+                            .field("total_wait_cycles", r.total_wait_cycles)
+                            .field("slo_compliance", Fixed(r.slo_compliance, 4))
+                            .field("digest", Hex(r.digest));
+                    });
+                }
+            });
+            let b = &self.backfill;
+            o.object("backfill", |o| {
+                o.field("devices", b.devices)
+                    .field("fifo_idle_gap_cycles", b.fifo_idle_gap_cycles)
+                    .field("backfill_idle_gap_cycles", b.backfill_idle_gap_cycles)
+                    .field("backfills", b.backfills)
+                    .field("fifo_makespan_cycles", b.fifo_makespan_cycles)
+                    .field("backfill_makespan_cycles", b.backfill_makespan_cycles)
+                    .field("digests_equal", b.digests_equal);
+            });
+            o.array("admission", |a| {
+                for r in &self.admission {
+                    a.object(|o| {
+                        o.field("load", Fixed(r.load, 2))
+                            .field("interarrival_cycles", r.interarrival_cycles)
+                            .field("compliance_timeout", Fixed(r.compliance_timeout, 4))
+                            .field("compliance_admission", Fixed(r.compliance_admission, 4))
+                            .field("rejections", r.rejections)
+                            .field("met_timeout", r.met_timeout)
+                            .field("met_admission", r.met_admission);
+                    });
+                }
+            });
+        })
     }
 
     /// Human-readable markdown summary.
@@ -543,6 +528,7 @@ mod tests {
     fn all_three_gates_hold_in_smoke_mode() {
         let report = run(42, true);
         assert!(report.digests_equal(), "device count changed an output bit");
+        assert!(report.to_json().contains("\"digests_equal\": true"));
         assert!(
             report.backfill_reclaims(),
             "backfilling must reclaim idle array-cycles at equal digests: {} -> {}",
@@ -579,10 +565,12 @@ mod tests {
 
     #[test]
     fn json_summary_is_well_formed_enough() {
-        let report = run(7, true);
-        let json = report.to_json();
-        assert!(json.contains("\"experiment\": \"fleet_scaling\""));
-        assert!(json.contains("\"digests_equal\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let report = FleetScalingReport {
+            scaling: vec![ScalingRow::default()],
+            admission: vec![AdmissionRow::default()],
+            ..FleetScalingReport::default()
+        };
+        let committed = include_str!("../../../../results/BENCH_fleet_scaling.json");
+        crate::assert_keys_match(&report.to_json(), committed);
     }
 }

@@ -23,9 +23,10 @@ use tempus_models::zoo::Model;
 use tempus_models::{budgeted_layers, QuantizedLayer};
 use tempus_nvdla::conv::ConvParams;
 use tempus_nvdla::cube::{DataCube, KernelSet};
+use tempus_telemetry::json::{self, Fixed, Hex};
 
 /// One `(layer, array count)` measurement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScalingRow {
     /// Workload label (`model/layer kxc`).
     pub case: String,
@@ -69,7 +70,7 @@ impl ScalingRow {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MultiArrayReport {
     /// Seed the zoo weights were generated from.
     pub seed: u64,
@@ -233,46 +234,42 @@ pub fn run(seed: u64, quick: bool) -> MultiArrayReport {
 }
 
 impl MultiArrayReport {
-    /// Machine-readable JSON summary (hand-rolled; the workspace has
-    /// no serde).
+    /// Machine-readable JSON summary.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"experiment\": \"multi_array_scaling\",\n  \"seed\": {},\n  \
-             \"array_counts\": {:?},\n  \"digests_equal\": {},\n  \
-             \"min_kernel_rich_speedup_at_2\": {:.2},\n  \"rows\": [\n",
-            self.seed,
-            self.array_counts,
-            self.digests_equal(),
-            self.min_kernel_rich_speedup_at_2().unwrap_or(0.0),
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"case\": \"{}\", \"arrays\": {}, \"used_arrays\": {}, \
-                 \"strategy\": \"{}\", \"kernel_rich\": {}, \"critical_path_cycles\": {}, \
-                 \"reduction_cycles\": {}, \"speedup\": {:.3}, \"balance\": {:.4}, \
-                 \"accurate_wall_s\": {:.6}, \"functional_wall_s\": {:.6}, \
-                 \"output_digest\": \"{:016x}\", \"digests_equal\": {}, \
-                 \"model_exact\": {}}}{}\n",
-                r.case,
-                r.arrays,
-                r.used_arrays,
-                r.strategy,
-                r.kernel_rich,
-                r.critical_path_cycles,
-                r.reduction_cycles,
-                r.speedup,
-                r.balance,
-                r.accurate_wall_s,
-                r.functional_wall_s,
-                r.output_digest,
-                r.digests_equal(),
-                r.model_exact,
-                if i + 1 == self.rows.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::object(|o| {
+            o.field("experiment", "multi_array_scaling")
+                .field("seed", self.seed);
+            o.array("array_counts", |a| {
+                for &n in &self.array_counts {
+                    a.item(n);
+                }
+            });
+            o.field("digests_equal", self.digests_equal()).field(
+                "min_kernel_rich_speedup_at_2",
+                Fixed(self.min_kernel_rich_speedup_at_2().unwrap_or(0.0), 2),
+            );
+            o.array("rows", |a| {
+                for r in &self.rows {
+                    a.object(|o| {
+                        o.field("case", &r.case)
+                            .field("arrays", r.arrays)
+                            .field("used_arrays", r.used_arrays)
+                            .field("strategy", r.strategy)
+                            .field("kernel_rich", r.kernel_rich)
+                            .field("critical_path_cycles", r.critical_path_cycles)
+                            .field("reduction_cycles", r.reduction_cycles)
+                            .field("speedup", Fixed(r.speedup, 3))
+                            .field("balance", Fixed(r.balance, 4))
+                            .field("accurate_wall_s", Fixed(r.accurate_wall_s, 6))
+                            .field("functional_wall_s", Fixed(r.functional_wall_s, 6))
+                            .field("output_digest", Hex(r.output_digest))
+                            .field("digests_equal", r.digests_equal())
+                            .field("model_exact", r.model_exact);
+                    });
+                }
+            });
+        })
     }
 
     /// Human-readable markdown summary.
@@ -345,14 +342,16 @@ mod tests {
             .rows
             .iter()
             .any(|r| r.strategy == "channel-groups" && r.reduction_cycles > 0));
+        assert!(report.to_json().contains("\"digests_equal\": true"));
     }
 
     #[test]
     fn json_summary_is_well_formed_enough() {
-        let report = run(7, true);
-        let json = report.to_json();
-        assert!(json.contains("\"experiment\": \"multi_array_scaling\""));
-        assert!(json.contains("\"digests_equal\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let report = MultiArrayReport {
+            rows: vec![ScalingRow::default()],
+            ..MultiArrayReport::default()
+        };
+        let committed = include_str!("../../../../results/BENCH_multi_array_scaling.json");
+        crate::assert_keys_match(&report.to_json(), committed);
     }
 }

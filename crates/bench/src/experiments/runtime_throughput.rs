@@ -13,9 +13,10 @@ use tempus_nvdla::config::NvdlaConfig;
 use tempus_nvdla::conv::ConvParams;
 use tempus_nvdla::cube::{DataCube, KernelSet};
 use tempus_runtime::{BackendKind, EngineConfig, InferenceEngine, Job};
+use tempus_telemetry::json::{self, Fixed, Hex};
 
 /// One measured configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ThroughputRow {
     /// Backend measured.
     pub backend: &'static str,
@@ -34,7 +35,7 @@ pub struct ThroughputRow {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ThroughputReport {
     /// One row per (backend, worker-count) measured.
     pub rows: Vec<ThroughputRow>,
@@ -177,38 +178,30 @@ pub fn run(seed: u64, jobs: usize, worker_counts: &[usize]) -> ThroughputReport 
 }
 
 impl ThroughputReport {
-    /// Machine-readable JSON summary (hand-rolled; the workspace has
-    /// no serde).
+    /// Machine-readable JSON summary.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"experiment\": \"runtime_throughput\",\n");
-        s.push_str(&format!(
-            "  \"reference_workers\": {},\n",
-            self.reference_workers
-        ));
-        s.push_str(&format!(
-            "  \"functional_speedup_vs_cycle_accurate\": {:.2},\n",
-            self.functional_speedup
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"backend\": \"{}\", \"workers\": {}, \"jobs\": {}, \
-                 \"wall_ms\": {:.3}, \"jobs_per_sec\": {:.1}, \"sim_cycles\": {}, \
-                 \"digest\": \"{:016x}\"}}{}\n",
-                r.backend,
-                r.workers,
-                r.jobs,
-                r.wall_ms,
-                r.jobs_per_sec,
-                r.sim_cycles,
-                r.digest,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::object(|o| {
+            o.field("experiment", "runtime_throughput")
+                .field("reference_workers", self.reference_workers)
+                .field(
+                    "functional_speedup_vs_cycle_accurate",
+                    Fixed(self.functional_speedup, 2),
+                );
+            o.array("rows", |a| {
+                for r in &self.rows {
+                    a.object(|o| {
+                        o.field("backend", r.backend)
+                            .field("workers", r.workers)
+                            .field("jobs", r.jobs)
+                            .field("wall_ms", Fixed(r.wall_ms, 3))
+                            .field("jobs_per_sec", Fixed(r.jobs_per_sec, 1))
+                            .field("sim_cycles", r.sim_cycles)
+                            .field("digest", Hex(r.digest));
+                    });
+                }
+            });
+        })
     }
 
     /// Human-readable markdown table.
@@ -263,16 +256,17 @@ mod tests {
             "speedup {:.1}x",
             report.functional_speedup
         );
+        let json = report.to_json();
+        assert_eq!(json.matches("{\"backend\"").count(), report.rows.len());
     }
 
     #[test]
     fn json_summary_is_well_formed_enough() {
-        let report = run(7, 20, &[1, 4]);
-        let json = report.to_json();
-        assert!(json.contains("\"experiment\": \"runtime_throughput\""));
-        assert!(json.contains("\"jobs_per_sec\""));
-        assert_eq!(json.matches("{\"backend\"").count(), report.rows.len());
-        // Balanced braces.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let report = ThroughputReport {
+            rows: vec![ThroughputRow::default()],
+            ..ThroughputReport::default()
+        };
+        let committed = include_str!("../../../../results/BENCH_runtime_throughput.json");
+        crate::assert_keys_match(&report.to_json(), committed);
     }
 }

@@ -13,9 +13,10 @@ use tempus_nvdla::cube::fnv1a;
 use tempus_serve::{
     percentile, JobClass, Request, ResponseOutcome, ServeConfig, SloPolicy, StreamingService,
 };
+use tempus_telemetry::json::{self, Fixed, Hex};
 
 /// Per-class latency record for one pass.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassRow {
     /// Class name (`fidelity/kind`).
     pub class: String,
@@ -40,7 +41,7 @@ pub struct ClassRow {
 }
 
 /// One replay pass (cold or warm).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PassReport {
     /// `cold` or `warm`.
     pub label: &'static str,
@@ -60,7 +61,7 @@ pub struct PassReport {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeLatencyReport {
     /// Trace seed.
     pub seed: u64,
@@ -194,52 +195,44 @@ pub fn run(seed: u64, requests: usize) -> ServeLatencyReport {
 }
 
 impl ServeLatencyReport {
-    /// Machine-readable JSON summary (hand-rolled; the workspace has
-    /// no serde).
+    /// Machine-readable JSON summary.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let pass = |p: &PassReport| {
-            let mut s = String::from("{\n");
-            s.push_str(&format!("      \"label\": \"{}\",\n", p.label));
-            s.push_str(&format!("      \"requests\": {},\n", p.requests));
-            s.push_str(&format!("      \"wall_s\": {:.4},\n", p.wall_s));
-            s.push_str(&format!("      \"req_per_sec\": {:.1},\n", p.req_per_sec));
-            s.push_str(&format!("      \"cache_hits\": {},\n", p.cache_hits));
-            s.push_str(&format!("      \"digest\": \"{:016x}\",\n", p.digest));
-            s.push_str("      \"classes\": [\n");
-            for (i, c) in p.classes.iter().enumerate() {
-                s.push_str(&format!(
-                    "        {{\"class\": \"{}\", \"completed\": {}, \"cache_hits\": {}, \
-                     \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \
-                     \"slo_target_ns\": {}, \"slo_compliance\": {:.4}, \"shards\": {:.2}}}{}\n",
-                    c.class,
-                    c.completed,
-                    c.cache_hits,
-                    c.p50_ns,
-                    c.p95_ns,
-                    c.p99_ns,
-                    c.slo_target_ns,
-                    c.slo_compliance,
-                    c.shards,
-                    if i + 1 == p.classes.len() { "" } else { "," }
-                ));
-            }
-            s.push_str("      ]\n    }");
-            s
-        };
-        format!(
-            "{{\n  \"experiment\": \"serve_latency\",\n  \"seed\": {},\n  \
-             \"requests\": {},\n  \"templates\": {},\n  \
-             \"warm_speedup_vs_cold\": {:.2},\n  \"digests_equal\": {},\n  \
-             \"passes\": [\n    {},\n    {}\n  ]\n}}\n",
-            self.seed,
-            self.requests,
-            self.templates,
-            self.warm_speedup,
-            self.cold.digest == self.warm.digest,
-            pass(&self.cold),
-            pass(&self.warm),
-        )
+        json::object(|o| {
+            o.field("experiment", "serve_latency")
+                .field("seed", self.seed)
+                .field("requests", self.requests)
+                .field("templates", self.templates)
+                .field("warm_speedup_vs_cold", Fixed(self.warm_speedup, 2))
+                .field("digests_equal", self.cold.digest == self.warm.digest);
+            o.array("passes", |a| {
+                for p in [&self.cold, &self.warm] {
+                    a.object(|o| {
+                        o.field("label", p.label)
+                            .field("requests", p.requests)
+                            .field("wall_s", Fixed(p.wall_s, 4))
+                            .field("req_per_sec", Fixed(p.req_per_sec, 1))
+                            .field("cache_hits", p.cache_hits)
+                            .field("digest", Hex(p.digest));
+                        o.array("classes", |a| {
+                            for c in &p.classes {
+                                a.object(|o| {
+                                    o.field("class", &c.class)
+                                        .field("completed", c.completed)
+                                        .field("cache_hits", c.cache_hits)
+                                        .field("p50_ns", c.p50_ns)
+                                        .field("p95_ns", c.p95_ns)
+                                        .field("p99_ns", c.p99_ns)
+                                        .field("slo_target_ns", c.slo_target_ns)
+                                        .field("slo_compliance", Fixed(c.slo_compliance, 4))
+                                        .field("shards", Fixed(c.shards, 2));
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+        })
     }
 
     /// Human-readable markdown summary.
@@ -304,16 +297,23 @@ mod tests {
         for c in report.cold.classes.iter().chain(&report.warm.classes) {
             assert!(c.p50_ns <= c.p95_ns && c.p95_ns <= c.p99_ns);
         }
+        let json = report.to_json();
+        assert!(json.contains("\"digests_equal\": true"));
+        assert_eq!(json.matches("\"label\"").count(), 2);
     }
 
     #[test]
     fn json_summary_is_well_formed_enough() {
-        let report = run(7, 40);
-        let json = report.to_json();
-        assert!(json.contains("\"experiment\": \"serve_latency\""));
-        assert!(json.contains("\"warm_speedup_vs_cold\""));
-        assert!(json.contains("\"digests_equal\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches("\"label\"").count(), 2);
+        let pass = PassReport {
+            classes: vec![ClassRow::default()],
+            ..PassReport::default()
+        };
+        let report = ServeLatencyReport {
+            cold: pass.clone(),
+            warm: pass,
+            ..ServeLatencyReport::default()
+        };
+        let committed = include_str!("../../../../results/BENCH_serve_latency.json");
+        crate::assert_keys_match(&report.to_json(), committed);
     }
 }

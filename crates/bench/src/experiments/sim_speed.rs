@@ -17,9 +17,10 @@ use tempus_core::{TempusConfig, TempusCore};
 use tempus_nvdla::conv::ConvParams;
 use tempus_nvdla::cube::{fnv1a, DataCube, KernelSet};
 use tempus_nvdla::pipeline::{ConvCore, ConvRun};
+use tempus_telemetry::json::{self, Fixed, Hex};
 
 /// One workload's old-vs-new measurement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CaseRow {
     /// Workload label.
     pub case: String,
@@ -49,7 +50,7 @@ impl CaseRow {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimSpeedReport {
     /// Seed the workloads were generated from.
     pub seed: u64,
@@ -254,38 +255,31 @@ pub fn run(seed: u64, quick: bool) -> SimSpeedReport {
 }
 
 impl SimSpeedReport {
-    /// Machine-readable JSON summary (hand-rolled; the workspace has
-    /// no serde).
+    /// Machine-readable JSON summary.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"experiment\": \"sim_speed\",\n  \"seed\": {},\n  \"reps\": {},\n  \
-             \"geomean_speedup\": {:.2},\n  \"digests_equal\": {},\n  \"cases\": [\n",
-            self.seed,
-            self.reps,
-            self.geomean_speedup(),
-            self.digests_equal(),
-        );
-        for (i, c) in self.cases.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"case\": \"{}\", \"kind\": \"{}\", \"sim_cycles\": {}, \
-                 \"reference_s\": {:.6}, \"windowed_s\": {:.6}, \"speedup\": {:.2}, \
-                 \"reference_digest\": \"{:016x}\", \"windowed_digest\": \"{:016x}\", \
-                 \"digests_equal\": {}}}{}\n",
-                c.case,
-                c.kind,
-                c.sim_cycles,
-                c.reference_s,
-                c.windowed_s,
-                c.speedup,
-                c.reference_digest,
-                c.windowed_digest,
-                c.digests_equal(),
-                if i + 1 == self.cases.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::object(|o| {
+            o.field("experiment", "sim_speed")
+                .field("seed", self.seed)
+                .field("reps", self.reps)
+                .field("geomean_speedup", Fixed(self.geomean_speedup(), 2))
+                .field("digests_equal", self.digests_equal());
+            o.array("cases", |a| {
+                for c in &self.cases {
+                    a.object(|o| {
+                        o.field("case", &c.case)
+                            .field("kind", c.kind)
+                            .field("sim_cycles", c.sim_cycles)
+                            .field("reference_s", Fixed(c.reference_s, 6))
+                            .field("windowed_s", Fixed(c.windowed_s, 6))
+                            .field("speedup", Fixed(c.speedup, 2))
+                            .field("reference_digest", Hex(c.reference_digest))
+                            .field("windowed_digest", Hex(c.windowed_digest))
+                            .field("digests_equal", c.digests_equal());
+                    });
+                }
+            });
+        })
     }
 
     /// Human-readable markdown summary.
@@ -337,14 +331,16 @@ mod tests {
             );
             assert!(case.sim_cycles > 0);
         }
+        assert!(report.to_json().contains("\"digests_equal\": true"));
     }
 
     #[test]
     fn json_summary_is_well_formed_enough() {
-        let report = run(7, true);
-        let json = report.to_json();
-        assert!(json.contains("\"experiment\": \"sim_speed\""));
-        assert!(json.contains("\"digests_equal\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let report = SimSpeedReport {
+            cases: vec![CaseRow::default()],
+            ..SimSpeedReport::default()
+        };
+        let committed = include_str!("../../../../results/BENCH_sim_speed.json");
+        crate::assert_keys_match(&report.to_json(), committed);
     }
 }

@@ -25,13 +25,14 @@ use tempus_core::gemm::{Matrix, TubGemm};
 use tempus_core::streaming::{StreamPlan, StreamStats};
 use tempus_models::transformer::{self, ProjectionKind, TransformerShape};
 use tempus_nvdla::cube::fnv1a;
+use tempus_telemetry::json::{self, Fixed, Hex};
 
 /// PE grid every case runs on (the paper's 16×16 array).
 const GRID: (usize, usize) = (16, 16);
 
 /// One transformer-projection workload's materialized-vs-streamed
 /// measurement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamCase {
     /// Workload label (`preset projection m×n×p`).
     pub case: String,
@@ -99,7 +100,7 @@ impl StreamCase {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamingGemmReport {
     /// Seed the workloads were generated from.
     pub seed: u64,
@@ -235,52 +236,44 @@ pub fn run(seed: u64, quick: bool) -> StreamingGemmReport {
 }
 
 impl StreamingGemmReport {
-    /// Machine-readable JSON summary (hand-rolled; the workspace has
-    /// no serde).
+    /// Machine-readable JSON summary.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"experiment\": \"streaming_gemm\",\n  \"seed\": {},\n  \"reps\": {},\n  \
-             \"geomean_speedup\": {:.2},\n  \"digests_equal\": {},\n  \
-             \"scratch_bounded\": {},\n  \"scratch_operand_invariant\": {},\n  \"cases\": [\n",
-            self.seed,
-            self.reps,
-            self.geomean_speedup(),
-            self.digests_equal(),
-            self.scratch_bounded(),
-            self.scratch_operand_invariant(),
-        );
-        for (i, c) in self.cases.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"case\": \"{}\", \"m\": {}, \"n\": {}, \"p\": {}, \
-                 \"operand_elems\": {}, \"budget_elems\": {}, \"tile_k\": {}, \
-                 \"peak_scratch_elems\": {}, \"model_scratch_elems\": {}, \
-                 \"sim_cycles\": {}, \"materialized_s\": {:.6}, \"streamed_s\": {:.6}, \
-                 \"speedup\": {:.2}, \"materialized_digest\": \"{:016x}\", \
-                 \"streamed_digest\": \"{:016x}\", \"digests_equal\": {}, \
-                 \"scratch_bounded\": {}}}{}\n",
-                c.case,
-                c.m,
-                c.n,
-                c.p,
-                c.operand_elems,
-                c.budget_elems,
-                c.tile_k,
-                c.peak_scratch_elems,
-                c.model_scratch_elems,
-                c.sim_cycles,
-                c.materialized_s,
-                c.streamed_s,
-                c.speedup,
-                c.materialized_digest,
-                c.streamed_digest,
-                c.digests_equal(),
-                c.scratch_bounded(),
-                if i + 1 == self.cases.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::object(|o| {
+            o.field("experiment", "streaming_gemm")
+                .field("seed", self.seed)
+                .field("reps", self.reps)
+                .field("geomean_speedup", Fixed(self.geomean_speedup(), 2))
+                .field("digests_equal", self.digests_equal())
+                .field("scratch_bounded", self.scratch_bounded())
+                .field(
+                    "scratch_operand_invariant",
+                    self.scratch_operand_invariant(),
+                );
+            o.array("cases", |a| {
+                for c in &self.cases {
+                    a.object(|o| {
+                        o.field("case", &c.case)
+                            .field("m", c.m)
+                            .field("n", c.n)
+                            .field("p", c.p)
+                            .field("operand_elems", c.operand_elems)
+                            .field("budget_elems", c.budget_elems)
+                            .field("tile_k", c.tile_k)
+                            .field("peak_scratch_elems", c.peak_scratch_elems)
+                            .field("model_scratch_elems", c.model_scratch_elems)
+                            .field("sim_cycles", c.sim_cycles)
+                            .field("materialized_s", Fixed(c.materialized_s, 6))
+                            .field("streamed_s", Fixed(c.streamed_s, 6))
+                            .field("speedup", Fixed(c.speedup, 2))
+                            .field("materialized_digest", Hex(c.materialized_digest))
+                            .field("streamed_digest", Hex(c.streamed_digest))
+                            .field("digests_equal", c.digests_equal())
+                            .field("scratch_bounded", c.scratch_bounded());
+                    });
+                }
+            });
+        })
     }
 
     /// Human-readable markdown summary.
@@ -344,15 +337,21 @@ mod tests {
             );
             assert!(case.sim_cycles > 0);
         }
+        let json = report.to_json();
+        assert!(json.contains("\"digests_equal\": true"));
+        assert!(json.contains("\"scratch_bounded\": true"));
     }
 
     #[test]
     fn json_summary_is_well_formed_enough() {
-        let report = run(7, true);
-        let json = report.to_json();
-        assert!(json.contains("\"experiment\": \"streaming_gemm\""));
-        assert!(json.contains("\"digests_equal\": true"));
-        assert!(json.contains("\"scratch_bounded\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let report = StreamingGemmReport {
+            cases: vec![StreamCase {
+                tile_k: 1,
+                ..StreamCase::default()
+            }],
+            ..StreamingGemmReport::default()
+        };
+        let committed = include_str!("../../../../results/BENCH_streaming_gemm.json");
+        crate::assert_keys_match(&report.to_json(), committed);
     }
 }

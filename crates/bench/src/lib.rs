@@ -4,8 +4,8 @@
 //! Each submodule of [`experiments`] owns one experiment the `report`
 //! binary selects by name and returns printable tables (and SVGs for
 //! Fig. 6). The `report` binary drives them all and writes
-//! `results/`; the Criterion benches in `benches/` measure the same
-//! computations.
+//! `results/`. Machine-readable reports go through the one JSON writer,
+//! [`tempus_telemetry::json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,3 +30,16 @@ pub fn write_result(dir: &Path, name: &str, content: &str) -> io::Result<()> {
 /// Standard seed used by every experiment so results are reproducible
 /// run to run.
 pub const SEED: u64 = 42;
+
+/// Asserts that `json` has exactly the object keys of `committed`, a
+/// report artifact under `results/`: the key set is the schema the
+/// artifact's readers rely on.
+#[cfg(test)]
+pub(crate) fn assert_keys_match(json: &str, committed: &str) {
+    let keys = |doc: &str| -> std::collections::BTreeSet<String> {
+        (doc.match_indices("\": "))
+            .filter_map(|(end, _)| doc[..end].rfind('"').map(|at| doc[at + 1..end].to_string()))
+            .collect()
+    };
+    assert_eq!(keys(json), keys(committed));
+}

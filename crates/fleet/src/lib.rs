@@ -372,6 +372,18 @@ pub enum FleetEvent {
         /// Start cycle of the reverted placement.
         start_cycle: u64,
     },
+    /// A grant opened an idle gap on a device array (see
+    /// [`ArrayLedger::drain_idle_gaps`]).
+    IdleGap {
+        /// Device whose array sat idle.
+        device: usize,
+        /// Array that sat idle.
+        array: usize,
+        /// Cycle the gap opened.
+        from: u64,
+        /// Idle cycles.
+        cycles: u64,
+    },
     /// A device array's clock domain stepped on the DVFS ladder (the
     /// occupancy governor committed a transition).
     FreqChange {
@@ -534,6 +546,9 @@ impl FleetScheduler {
     /// scheduling decision — it only appends to the event log.
     pub fn set_recording(&mut self, on: bool) {
         self.record = on;
+        for device in &mut self.devices {
+            device.ledger.log_idle_gaps(on);
+        }
         if !on {
             self.events.clear();
         }
@@ -854,7 +869,7 @@ impl FleetScheduler {
             granted: placement.assignment.granted,
         });
         self.track_committed(cost, &placement);
-        self.lower_freq_changes(device);
+        self.lower_ledger_events(device);
         let placed = FleetPlacement {
             device,
             placement,
@@ -904,15 +919,27 @@ impl FleetScheduler {
     }
 
     /// Drains the device ledger's committed governor transitions and
-    /// lowers them into [`FleetEvent::FreqChange`]s (drained even
-    /// when recording is off so the pending list stays bounded).
-    fn lower_freq_changes(&mut self, device: usize) {
-        for fc in self.devices[device].ledger.drain_freq_changes() {
+    /// opened idle gaps and lowers them into [`FleetEvent::FreqChange`]s
+    /// and [`FleetEvent::IdleGap`]s (transitions are drained even when
+    /// recording is off so the pending list stays bounded; gaps are
+    /// logged only while recording).
+    fn lower_ledger_events(&mut self, device: usize) {
+        let ledger = &mut self.devices[device].ledger;
+        let (changes, gaps) = (ledger.drain_freq_changes(), ledger.drain_idle_gaps());
+        for fc in changes {
             self.emit(FleetEvent::FreqChange {
                 device,
                 array: fc.array,
                 level: fc.level,
                 cycle: fc.cycle,
+            });
+        }
+        for gap in gaps {
+            self.emit(FleetEvent::IdleGap {
+                device,
+                array: gap.array,
+                from: gap.from,
+                cycles: gap.to - gap.from,
             });
         }
     }
@@ -968,8 +995,10 @@ impl FleetScheduler {
                 self.devices[idx].status = DeviceStatus::Active;
                 idx
             } else {
+                let mut ledger = Self::build_ledger(&self.config, floor);
+                ledger.log_idle_gaps(self.record);
                 self.devices.push(DeviceState {
-                    ledger: Self::build_ledger(&self.config, floor),
+                    ledger,
                     status: DeviceStatus::Active,
                     joined_at_cycle: floor,
                     health: DeviceHealth::default(),

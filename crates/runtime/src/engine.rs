@@ -20,6 +20,7 @@ use tempus_hwmodel::{Family, SynthModel};
 use tempus_nvdla::config::NvdlaConfig;
 use tempus_nvdla::cube::DataCube;
 use tempus_nvdla::{fused, pdp};
+use tempus_telemetry::SplitMix64;
 
 use tempus_core::shard::WidenPolicy;
 
@@ -28,7 +29,8 @@ use crate::error::RuntimeError;
 use crate::job::{Job, JobPayload, JobResult};
 use crate::ledger::{ArrayAssignment, ArrayLedger, ArrayPolicy};
 use crate::planner::ArrayPlanner;
-use crate::stats::{AggregateStats, WorkerStats, PERIOD_NS};
+use crate::pool::{ArrayPower, Executor};
+use crate::stats::{AggregateStats, WorkerStats};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -239,10 +241,7 @@ impl BatchReport {
 #[derive(Debug, Clone)]
 pub struct InferenceEngine {
     config: EngineConfig,
-    /// Per-cycle array power for the configured backend, in mW.
-    array_power_mw: f64,
-    /// Static/leakage fraction of `array_power_mw`.
-    array_leak_frac: f64,
+    power: ArrayPower,
 }
 
 impl InferenceEngine {
@@ -255,12 +254,9 @@ impl InferenceEngine {
         if config.workers == 0 {
             return Err(RuntimeError::NoWorkers);
         }
-        let array_power_mw = array_power_mw(&config, config.backend);
-        let array_leak_frac = array_leakage_fraction(&config, config.backend);
         Ok(InferenceEngine {
+            power: ArrayPower::new(&config),
             config,
-            array_power_mw,
-            array_leak_frac,
         })
     }
 
@@ -275,16 +271,9 @@ impl InferenceEngine {
     #[must_use]
     pub fn permutation(&self, n: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..n).collect();
-        let mut state = self.config.seed ^ 0x6A09_E667_F3BC_C908;
-        let mut next = || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64(self.config.seed ^ 0x6A09_E667_F3BC_C908);
         for i in (1..n).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
+            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
             order.swap(i, j);
         }
         order
@@ -331,65 +320,15 @@ impl InferenceEngine {
                     .iter()
                     .enumerate()
                     .map(|(worker_idx, assigned)| {
-                        let config = &self.config;
-                        let power = self.array_power_mw;
-                        let leak = self.array_leak_frac;
+                        let (config, power) = (&self.config, self.power);
                         scope.spawn(move || {
-                            let mut backend = config.backend.instantiate(
-                                config.tempus,
-                                config.nvdla,
-                                config.gemm_grid,
-                                config.num_arrays,
-                                config.scratch_budget_elems,
-                            );
-                            let mut results = Vec::with_capacity(assigned.len());
-                            let mut stats = WorkerStats {
-                                worker: worker_idx,
-                                ..WorkerStats::default()
-                            };
-                            for &job_idx in assigned {
-                                let job = &jobs[job_idx];
-                                let grant = grants[job_idx];
-                                let start = Instant::now();
-                                let run = backend.execute_on(job, grant.granted.max(1))?;
-                                let wall_ns = start.elapsed().as_nanos() as u64;
-                                // Split the calibrated total into its
-                                // dynamic/static shares exactly: the
-                                // sum reproduces the pre-split figure
-                                // bit-for-bit. Batch runs always
-                                // execute at the nominal level.
-                                let energy_pj = power * run.total_array_cycles as f64 * PERIOD_NS;
-                                let dynamic_energy_pj = energy_pj * (1.0 - leak);
-                                let static_energy_pj = energy_pj - dynamic_energy_pj;
-                                stats.jobs += 1;
-                                stats.sim_cycles += run.sim_cycles;
-                                stats.wall_ns += wall_ns;
-                                results.push(JobResult {
-                                    job_id: job.id,
-                                    job_name: job.name.clone(),
-                                    kind: job.payload.kind(),
-                                    output: run.output,
-                                    sim_cycles: run.sim_cycles,
-                                    total_array_cycles: run.total_array_cycles,
-                                    shards: run.shards,
-                                    shard_utilization: run.shard_utilization,
-                                    arrays_requested: grant.requested,
-                                    arrays_granted: grant.granted.max(1),
-                                    array_wait_cycles: grant.wait_cycles,
-                                    energy_pj,
-                                    dynamic_energy_pj,
-                                    static_energy_pj,
-                                    freq_level: 0,
-                                    wall_ns,
-                                    worker: worker_idx,
-                                    per_shard_cycles: run.per_shard_cycles,
-                                    reduction_cycles: run.reduction_cycles,
-                                    window_cycles: run.window_cycles,
-                                    peak_scratch_elems: run.peak_scratch_elems,
-                                });
-                            }
-                            stats.schedule_cache = backend.cache_stats();
-                            Ok((results, stats))
+                            // Batch runs always execute at the nominal
+                            // level.
+                            let mut executor = Executor::new(worker_idx, config, power);
+                            let results = (assigned.iter())
+                                .map(|&i| executor.execute(&jobs[i], config.backend, grants[i], 0))
+                                .collect::<Result<Vec<_>, _>>()?;
+                            Ok((results, executor.finish()))
                         })
                     })
                     .collect();
@@ -429,7 +368,7 @@ impl InferenceEngine {
             &worker_stats,
             wall_ns,
             ledger.summary(),
-            self.array_power_mw * self.array_leak_frac,
+            self.power.static_mw(self.config.backend),
         );
         Ok(BatchReport {
             results,

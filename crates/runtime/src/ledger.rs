@@ -161,6 +161,18 @@ pub struct FreqChange {
     pub cycle: u64,
 }
 
+/// One idle interval `[from, to)` a grant opened on an array, on the
+/// device clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdleGap {
+    /// Array that sat idle.
+    pub array: usize,
+    /// Cycle the array's previous grant finished.
+    pub from: u64,
+    /// Cycle the gathering grant started.
+    pub to: u64,
+}
+
 /// The deterministic occupancy-driven DVFS governor: each array keeps
 /// an idle-fraction EWMA (permille) updated on every committed grant;
 /// silent-heavy arrays step **down** the frequency ladder, saturated
@@ -283,6 +295,9 @@ pub struct ArrayLedger {
     pending_freq_changes: Vec<FreqChange>,
     /// Total governor transitions committed (survives draining).
     freq_change_count: u64,
+    /// Idle gaps opened since the last drain, in placement order;
+    /// `None` (the default) logs nothing.
+    gap_log: Option<Vec<IdleGap>>,
     /// Device array-cycles held at each ladder level.
     level_residency: [u64; freq::NUM_LEVELS],
 }
@@ -315,6 +330,7 @@ impl ArrayLedger {
             idle_ewma_permille: vec![0; n],
             pending_freq_changes: Vec::new(),
             freq_change_count: 0,
+            gap_log: None,
             level_residency: [0; freq::NUM_LEVELS],
         }
     }
@@ -345,6 +361,22 @@ impl ArrayLedger {
     /// telemetry events.
     pub fn drain_freq_changes(&mut self) -> Vec<FreqChange> {
         std::mem::take(&mut self.pending_freq_changes)
+    }
+
+    /// Turns the idle-gap log on or off. Logging changes no placement;
+    /// off, it costs one branch per opened gap.
+    pub fn log_idle_gaps(&mut self, on: bool) {
+        self.gap_log = on.then(Vec::new);
+    }
+
+    /// Drains the idle gaps opened since the last drain, in placement
+    /// order — every gap [`DeviceSummary::idle_gap_count`] counts while
+    /// the log is on.
+    pub fn drain_idle_gaps(&mut self) -> Vec<IdleGap> {
+        self.gap_log
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Arrays in the pool.
@@ -758,6 +790,9 @@ impl ArrayLedger {
     fn open_gap(&mut self, i: usize, from: u64, to: u64) {
         self.gap_count += 1;
         self.gap_cycles += to - from;
+        if let Some(log) = &mut self.gap_log {
+            log.push(IdleGap { array: i, from, to });
+        }
         let per_array = &mut self.gaps[i];
         per_array.push((from, to));
         per_array.sort_unstable();
@@ -964,6 +999,32 @@ mod tests {
         assert_eq!(s.idle_gap_count, 3, "one gap per early-freeing array");
         assert_eq!(s.idle_gap_cycles, 900, "3 arrays x 300 idle cycles");
         assert_eq!(s.backfills, 0);
+    }
+
+    #[test]
+    fn idle_gaps_open_between_placements_but_not_under_backfill() {
+        let mut ledger = ArrayLedger::new(1);
+        ledger.log_idle_gaps(true);
+        let _ = ledger.place(&BudgetPlan::single(50), 0);
+        // Gap 50..120, then a backfill drops inside it.
+        let _ = ledger.place(&BudgetPlan::single(30), 120);
+        let p = ledger
+            .preview_backfill(&BudgetPlan::single(20), 60)
+            .expect("gap fits");
+        assert!(p.backfilled);
+        ledger.apply(&p);
+        let gap = IdleGap {
+            array: 0,
+            from: 50,
+            to: 120,
+        };
+        assert_eq!(ledger.drain_idle_gaps(), [gap], "only the real gap");
+        assert!(ledger.drain_idle_gaps().is_empty(), "drain takes all");
+        assert_eq!(ledger.summary().idle_gap_count, 1);
+        ledger.log_idle_gaps(false);
+        let _ = ledger.place(&BudgetPlan::single(10), 500);
+        assert!(ledger.drain_idle_gaps().is_empty(), "off logs nothing");
+        assert_eq!(ledger.summary().idle_gap_count, 2);
     }
 
     #[test]

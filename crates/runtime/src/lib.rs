@@ -86,7 +86,8 @@ pub use engine::{BatchReport, EngineConfig, InferenceEngine};
 pub use error::RuntimeError;
 pub use job::{Job, JobOutput, JobPayload, JobResult};
 pub use ledger::{
-    ArrayAssignment, ArrayLedger, ArrayPolicy, DeviceSummary, FreqChange, GovernorPolicy, Placement,
+    ArrayAssignment, ArrayLedger, ArrayPolicy, DeviceSummary, FreqChange, GovernorPolicy, IdleGap,
+    Placement,
 };
 pub use planner::ArrayPlanner;
 pub use pool::{PoolOutcome, PoolTask, WorkerPool};

@@ -156,9 +156,7 @@ struct PoolShared {
 #[derive(Debug)]
 struct SpawnCtx {
     config: EngineConfig,
-    powers: [f64; 3],
-    /// Static/leakage fraction of `powers`, per backend kind.
-    leak_fracs: [f64; 3],
+    power: ArrayPower,
     task_rx: Arc<Mutex<Receiver<PoolTask>>>,
     outcome_tx: Sender<PoolOutcome>,
     telemetry: Telemetry,
@@ -228,22 +226,6 @@ impl WorkerPool {
         if config.workers == 0 {
             return Err(RuntimeError::NoWorkers);
         }
-        // Calibrated per-cycle array power per backend kind, so the
-        // pool's energy figures match the batch engine's.
-        let powers: [f64; 3] = {
-            let mut p = [0.0; 3];
-            for kind in BackendKind::ALL {
-                p[kind_index(kind)] = array_power_mw(&config, kind);
-            }
-            p
-        };
-        let leak_fracs: [f64; 3] = {
-            let mut f = [0.0; 3];
-            for kind in BackendKind::ALL {
-                f[kind_index(kind)] = array_leakage_fraction(&config, kind);
-            }
-            f
-        };
         let (task_tx, task_rx) = channel::<PoolTask>();
         let task_rx = Arc::new(Mutex::new(task_rx));
         let (outcome_tx, outcome_rx) = channel::<PoolOutcome>();
@@ -256,9 +238,8 @@ impl WorkerPool {
             watchdog_cancels: AtomicU64::new(0),
         });
         let ctx = SpawnCtx {
+            power: ArrayPower::new(&config),
             config,
-            powers,
-            leak_fracs,
             task_rx,
             outcome_tx,
             telemetry,
@@ -523,14 +504,166 @@ impl WorkerPool {
     }
 }
 
+/// Calibrated per-cycle array power and its static share, per
+/// backend kind — the figures every job's energy split is priced at.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArrayPower {
+    power_mw: [f64; 3],
+    leak_frac: [f64; 3],
+}
+
+impl ArrayPower {
+    pub(crate) fn new(config: &EngineConfig) -> Self {
+        let mut power = ArrayPower {
+            power_mw: [0.0; 3],
+            leak_frac: [0.0; 3],
+        };
+        for kind in BackendKind::ALL {
+            power.power_mw[kind_index(kind)] = array_power_mw(config, kind);
+            power.leak_frac[kind_index(kind)] = array_leakage_fraction(config, kind);
+        }
+        power
+    }
+
+    /// Static (leakage) array power of `kind`, in mW.
+    pub(crate) fn static_mw(&self, kind: BackendKind) -> f64 {
+        self.power_mw[kind_index(kind)] * self.leak_frac[kind_index(kind)]
+    }
+
+    /// `(total, dynamic, static)` energy in pJ of `array_cycles` of
+    /// `kind` at DVFS level `freq_level`: the calibrated nominal
+    /// figure split into its dynamic/static shares, then scaled —
+    /// dynamic ∝ V², static ∝ (period ×) · V. At level 0 every factor
+    /// is exactly 1.0, reproducing the pre-split figure bit-for-bit.
+    fn energy_pj(&self, kind: BackendKind, array_cycles: u64, freq_level: u8) -> (f64, f64, f64) {
+        let nominal_pj = self.power_mw[kind_index(kind)] * array_cycles as f64 * PERIOD_NS;
+        let lvl = tempus_core::freq::level(freq_level);
+        let vscale = lvl.vscale_permille as f64 / tempus_core::freq::VSCALE_ONE as f64;
+        let stretch = f64::from(lvl.period_num) / f64::from(lvl.period_den.max(1));
+        let dynamic_nom = nominal_pj * (1.0 - self.leak_frac[kind_index(kind)]);
+        let static_nom = nominal_pj - dynamic_nom;
+        let dynamic_pj = dynamic_nom * vscale * vscale;
+        let static_pj = static_nom * stretch * vscale;
+        let total_pj = if freq_level == 0 {
+            nominal_pj
+        } else {
+            dynamic_pj + static_pj
+        };
+        (total_pj, dynamic_pj, static_pj)
+    }
+}
+
+/// One worker's execution step, shared by the batch engine's scoped
+/// threads and the pool's resident workers: one lazily instantiated
+/// backend per kind (kept, with its schedule caches, across jobs),
+/// the worker's running [`WorkerStats`], and [`JobResult`] assembly
+/// with the energy split.
+pub(crate) struct Executor<'a> {
+    config: &'a EngineConfig,
+    power: ArrayPower,
+    backends: [Option<Box<dyn InferenceBackend>>; 3],
+    stats: WorkerStats,
+}
+
+impl<'a> Executor<'a> {
+    pub(crate) fn new(worker: usize, config: &'a EngineConfig, power: ArrayPower) -> Self {
+        Executor {
+            config,
+            power,
+            backends: [None, None, None],
+            stats: WorkerStats {
+                worker,
+                ..WorkerStats::default()
+            },
+        }
+    }
+
+    /// Runs `job` on `kind` at the `assignment` grant and DVFS level
+    /// `freq_level`. A panicking backend is dropped (re-instantiated
+    /// on next use) and reported as [`RuntimeError::WorkerPanicked`]
+    /// rather than unwinding: callers above count in-flight jobs, and
+    /// a missing completion would wedge them.
+    pub(crate) fn execute(
+        &mut self,
+        job: &Job,
+        kind: BackendKind,
+        assignment: ArrayAssignment,
+        freq_level: u8,
+    ) -> Result<JobResult, RuntimeError> {
+        let config = self.config;
+        let slot = &mut self.backends[kind_index(kind)];
+        let backend = slot.get_or_insert_with(|| {
+            kind.instantiate(
+                config.tempus,
+                config.nvdla,
+                config.gemm_grid,
+                config.num_arrays,
+                config.scratch_budget_elems,
+            )
+        });
+        let start = Instant::now();
+        let granted = assignment.granted.max(1);
+        let Ok(executed) = catch_unwind(AssertUnwindSafe(|| backend.execute_on(job, granted)))
+        else {
+            *slot = None;
+            return Err(RuntimeError::WorkerPanicked {
+                worker: self.stats.worker,
+            });
+        };
+        let run = executed?;
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        self.stats.jobs += 1;
+        self.stats.sim_cycles += run.sim_cycles;
+        self.stats.wall_ns += wall_ns;
+        let (energy_pj, dynamic_energy_pj, static_energy_pj) =
+            self.power
+                .energy_pj(kind, run.total_array_cycles, freq_level);
+        Ok(JobResult {
+            job_id: job.id,
+            job_name: job.name.clone(),
+            kind: job.payload.kind(),
+            output: run.output,
+            sim_cycles: run.sim_cycles,
+            total_array_cycles: run.total_array_cycles,
+            shards: run.shards,
+            shard_utilization: run.shard_utilization,
+            arrays_requested: assignment.requested,
+            arrays_granted: granted,
+            array_wait_cycles: assignment.wait_cycles,
+            energy_pj,
+            dynamic_energy_pj,
+            static_energy_pj,
+            freq_level,
+            wall_ns,
+            worker: self.stats.worker,
+            per_shard_cycles: run.per_shard_cycles,
+            reduction_cycles: run.reduction_cycles,
+            window_cycles: run.window_cycles,
+            peak_scratch_elems: run.peak_scratch_elems,
+        })
+    }
+
+    /// The worker's stats, with its backends' schedule-cache counters
+    /// merged in.
+    pub(crate) fn finish(mut self) -> WorkerStats {
+        let mut cache: Option<CacheStats> = None;
+        for backend in self.backends.iter().flatten() {
+            if let Some(cs) = backend.cache_stats() {
+                cache.get_or_insert_with(CacheStats::default).merge(&cs);
+            }
+        }
+        self.stats.schedule_cache = cache;
+        self.stats
+    }
+}
+
 fn spawn_worker(
     worker: usize,
     ctx: &SpawnCtx,
     shared: &Arc<PoolShared>,
 ) -> JoinHandle<WorkerStats> {
     let config = ctx.config.clone();
-    let powers = ctx.powers;
-    let leak_fracs = ctx.leak_fracs;
+    let power = ctx.power;
     let task_rx = Arc::clone(&ctx.task_rx);
     let outcome_tx = ctx.outcome_tx.clone();
     let telemetry = ctx.telemetry.clone();
@@ -539,8 +672,7 @@ fn spawn_worker(
         worker_loop(
             worker,
             &config,
-            powers,
-            leak_fracs,
+            power,
             &task_rx,
             &outcome_tx,
             &telemetry,
@@ -554,20 +686,15 @@ fn spawn_worker(
 fn worker_loop(
     worker: usize,
     config: &EngineConfig,
-    powers: [f64; 3],
-    leak_fracs: [f64; 3],
+    power: ArrayPower,
     task_rx: &Mutex<Receiver<PoolTask>>,
     outcome_tx: &Sender<PoolOutcome>,
     telemetry: &Telemetry,
     shared: &PoolShared,
 ) -> WorkerStats {
-    let mut backends: [Option<Box<dyn InferenceBackend>>; 3] = [None, None, None];
+    let mut executor = Executor::new(worker, config, power);
     let mut sink = telemetry.sink();
     let track = telemetry.track(&format!("worker{worker}"), Clock::Wall, 0);
-    let mut stats = WorkerStats {
-        worker,
-        ..WorkerStats::default()
-    };
     loop {
         // Holding the lock while blocked on recv serialises task
         // pickup, which is exactly the semantics we want: one waiter
@@ -666,94 +793,21 @@ fn worker_loop(
                 }
             }
         }
-        let start = Instant::now();
         let start_ns = telemetry.now_ns();
-        // A panicking backend must not silently lose the outcome:
-        // the serving layer above counts in-flight jobs, and a
-        // missing completion would wedge its dispatch gate forever.
-        let executed = {
-            let backend = backends[kind_index(kind)].get_or_insert_with(|| {
-                kind.instantiate(
-                    config.tempus,
-                    config.nvdla,
-                    config.gemm_grid,
-                    config.num_arrays,
-                    config.scratch_budget_elems,
-                )
-            });
-            catch_unwind(AssertUnwindSafe(|| {
-                backend.execute_on(&job, assignment.granted.max(1))
-            }))
-        };
-        let result = match executed {
-            Ok(executed) => executed.map(|run| {
-                let wall_ns = start.elapsed().as_nanos() as u64;
-                stats.jobs += 1;
-                stats.sim_cycles += run.sim_cycles;
-                stats.wall_ns += wall_ns;
-                sink.span(
-                    track,
-                    Stage::Execute,
-                    start_ns,
-                    wall_ns,
-                    job.id,
-                    run.window_cycles,
-                );
-                if run.window_cycles > 0 {
-                    telemetry.count(Counter::WindowCycles, run.window_cycles);
-                }
-                // Calibrated nominal energy, split into its
-                // dynamic/static shares, then scaled to the
-                // placement's DVFS level: dynamic ∝ V², static
-                // ∝ (period ×) · V. At level 0 every factor is
-                // exactly 1.0, reproducing the pre-split figure
-                // bit-for-bit.
-                let nominal_pj =
-                    powers[kind_index(kind)] * run.total_array_cycles as f64 * PERIOD_NS;
-                let leak = leak_fracs[kind_index(kind)];
-                let lvl = tempus_core::freq::level(freq_level);
-                let vscale = lvl.vscale_permille as f64 / tempus_core::freq::VSCALE_ONE as f64;
-                let stretch = f64::from(lvl.period_num) / f64::from(lvl.period_den.max(1));
-                let dynamic_nom = nominal_pj * (1.0 - leak);
-                let static_nom = nominal_pj - dynamic_nom;
-                let dynamic_energy_pj = dynamic_nom * vscale * vscale;
-                let static_energy_pj = static_nom * stretch * vscale;
-                let energy_pj = if freq_level == 0 {
-                    nominal_pj
-                } else {
-                    dynamic_energy_pj + static_energy_pj
-                };
-                JobResult {
-                    job_id: job.id,
-                    job_name: job.name.clone(),
-                    kind: job.payload.kind(),
-                    output: run.output,
-                    sim_cycles: run.sim_cycles,
-                    total_array_cycles: run.total_array_cycles,
-                    shards: run.shards,
-                    shard_utilization: run.shard_utilization,
-                    arrays_requested: assignment.requested,
-                    arrays_granted: assignment.granted.max(1),
-                    array_wait_cycles: assignment.wait_cycles,
-                    energy_pj,
-                    dynamic_energy_pj,
-                    static_energy_pj,
-                    freq_level,
-                    wall_ns,
-                    worker,
-                    per_shard_cycles: run.per_shard_cycles,
-                    reduction_cycles: run.reduction_cycles,
-                    window_cycles: run.window_cycles,
-                    peak_scratch_elems: run.peak_scratch_elems,
-                }
-            }),
-            Err(_) => {
-                // The backend's internal state is suspect after an
-                // unwind; drop it and re-instantiate on next use.
-                backends[kind_index(kind)] = None;
-                Err(RuntimeError::WorkerPanicked { worker })
+        let result = executor.execute(&job, kind, assignment, freq_level);
+        if let Ok(run) = &result {
+            sink.span(
+                track,
+                Stage::Execute,
+                start_ns,
+                run.wall_ns,
+                job.id,
+                run.window_cycles,
+            );
+            if run.window_cycles > 0 {
+                telemetry.count(Counter::WindowCycles, run.window_cycles);
             }
-        };
+        }
         if shared.watchdog.is_some() {
             lock_clean(&shared.inflight).remove(&inflight_key);
         }
@@ -768,14 +822,7 @@ fn worker_loop(
             break; // collector gone: nothing left to work for
         }
     }
-    let mut cache: Option<CacheStats> = None;
-    for backend in backends.iter().flatten() {
-        if let Some(cs) = backend.cache_stats() {
-            cache.get_or_insert_with(CacheStats::default).merge(&cs);
-        }
-    }
-    stats.schedule_cache = cache;
-    stats
+    executor.finish()
 }
 
 #[cfg(test)]

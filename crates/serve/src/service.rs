@@ -940,6 +940,16 @@ impl Dispatcher {
                 // The rollback's observable effect is the re-route
                 // that follows; the fleet summary carries the count.
                 FleetEvent::Rollback { .. } => {}
+                FleetEvent::IdleGap {
+                    device,
+                    array,
+                    from,
+                    cycles,
+                } => {
+                    let track = self.timeline.array_track(device, array);
+                    self.sink
+                        .span(track, Stage::ArrayIdle, from, cycles, array as u64, 0);
+                }
                 FleetEvent::FreqChange {
                     device,
                     array,
@@ -1337,8 +1347,8 @@ impl Dispatcher {
                     .unwrap_or_default();
                 // Device-cycle spans are recorded at completion, when the
                 // backend's per-shard cycles are known: grant,
-                // gather-wait, per-shard busy (reduction sub-span) and
-                // idle gaps, plus the window-batch and scratch counters.
+                // gather-wait and per-shard busy (reduction sub-span),
+                // plus the window-batch and scratch counters.
                 if let Some((device, p)) =
                     pending.placed.as_ref().filter(|_| self.sink.is_enabled())
                 {

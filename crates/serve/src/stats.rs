@@ -7,7 +7,7 @@ use tempus_fleet::FleetSummary;
 use tempus_models::traffic::ClassDeadlines;
 use tempus_runtime::stats::PERIOD_NS;
 use tempus_runtime::DeviceSummary;
-use tempus_telemetry::TelemetrySummary;
+use tempus_telemetry::{Reservoir, SplitMix64, TelemetrySummary};
 
 use crate::cache::ResultCacheStats;
 use crate::class::{Fidelity, JobClass, PayloadKind};
@@ -117,17 +117,10 @@ impl Default for SloPolicy {
     }
 }
 
-/// `q`-th percentile (0..=100) of a sorted sample by nearest-rank —
-/// the one percentile definition the service and the bench harness
-/// share, so their reported p50/p95/p99 agree on the same data.
-#[must_use]
-pub fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
+/// The one nearest-rank percentile definition the service and the
+/// bench harness share, so their reported p50/p95/p99 agree on the
+/// same data.
+pub use tempus_telemetry::percentile;
 
 /// One class's latency snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -454,53 +447,35 @@ impl fmt::Display for ServeStats {
     }
 }
 
-/// Latency samples kept per class: a bounded reservoir (Vitter's
-/// Algorithm R with a deterministic SplitMix64 stream), so a
-/// long-lived service's memory and snapshot cost stay constant while
-/// percentiles remain exact below the bound and uniformly sampled
-/// above it. Counts, mean, max and SLO violations are always exact.
-const RESERVOIR_CAP: usize = 4096;
-
+/// Latency samples kept per class: a bounded [`Reservoir`] with the
+/// class's own random stream, so a long-lived service's memory and
+/// snapshot cost stay constant. Counts, mean, max and SLO violations
+/// are always exact.
 #[derive(Debug)]
 struct ClassAccum {
-    reservoir: Vec<u64>,
+    reservoir: Reservoir,
     count: u64,
     sum_ns: u128,
     max_ns: u64,
-    rng_state: u64,
+    rng: SplitMix64,
 }
 
 impl ClassAccum {
     fn new(seed: u64) -> Self {
         ClassAccum {
-            reservoir: Vec::new(),
+            reservoir: Reservoir::default(),
             count: 0,
             sum_ns: 0,
             max_ns: 0,
-            rng_state: seed ^ 0x9E37_79B9_7F4A_7C15,
+            rng: SplitMix64(seed ^ 0x9E37_79B9_7F4A_7C15),
         }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 
     fn record(&mut self, total_ns: u64) {
         self.count += 1;
         self.sum_ns += u128::from(total_ns);
         self.max_ns = self.max_ns.max(total_ns);
-        if self.reservoir.len() < RESERVOIR_CAP {
-            self.reservoir.push(total_ns);
-        } else {
-            let j = (self.next_rand() % self.count) as usize;
-            if j < RESERVOIR_CAP {
-                self.reservoir[j] = total_ns;
-            }
-        }
+        self.reservoir.offer(total_ns, self.count, &mut self.rng);
     }
 }
 
@@ -686,8 +661,7 @@ impl StatsRecorder {
             .map(|class| {
                 let i = class.index();
                 let accum = &self.latencies[i];
-                let mut sorted = accum.reservoir.clone();
-                sorted.sort_unstable();
+                let sorted = accum.reservoir.sorted();
                 ClassStats {
                     class,
                     completed: accum.count,
@@ -820,12 +794,16 @@ mod tests {
     fn reservoir_bounds_memory_with_exact_counters() {
         let class = JobClass::ALL[1];
         let mut rec = StatsRecorder::new(SloPolicy::edge_defaults().with_target(class, 10));
-        let n = 3 * RESERVOIR_CAP as u64;
+        let n = 3 * Reservoir::CAP as u64;
         for v in 1..=n {
             rec.record_completion(class, v, false, ArrayUse::single());
         }
         let accum = &rec.latencies[class.index()];
-        assert_eq!(accum.reservoir.len(), RESERVOIR_CAP, "reservoir is bounded");
+        assert_eq!(
+            accum.reservoir.samples().len(),
+            Reservoir::CAP,
+            "reservoir is bounded"
+        );
         let snap = at_rest(&rec, 1);
         let c = snap.class(class);
         assert_eq!(c.completed, n, "count stays exact past the bound");

@@ -32,7 +32,9 @@
 
 pub mod event;
 pub mod hub;
+pub mod json;
 pub mod perfetto;
+pub mod reservoir;
 pub mod ring;
 pub mod summary;
 pub mod timeline;
@@ -40,6 +42,7 @@ pub mod vcd;
 
 pub use event::{Clock, EventKind, Stage, TraceEvent, TrackId, TrackMeta};
 pub use hub::{stage_unit, Telemetry, TraceExport, DEFAULT_RING_CAPACITY};
+pub use reservoir::{percentile, Reservoir, SplitMix64};
 pub use ring::{NullSink, RingSink, TraceSink};
 pub use summary::{Counter, StageSummary, TelemetrySummary};
 pub use timeline::{DeviceTimeline, PlacedSpan};

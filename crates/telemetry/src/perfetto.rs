@@ -1,5 +1,6 @@
 //! Chrome/Perfetto `trace_event` JSON export and a lightweight shape
-//! validator (the repo is serde-free, so both are hand-rolled).
+//! validator (the repo is serde-free: the export goes through
+//! [`json`], the validator is hand-rolled).
 //!
 //! Track layout: wall-clock tracks (dispatcher, worker threads) live
 //! under pid 1 ("service · wall clock"); device-cycle tracks (device
@@ -7,10 +8,9 @@
 //! scaled by each track's declared period so both clock domains render
 //! on one timeline in `ui.perfetto.dev`.
 
-use std::fmt::Write as _;
-
 use crate::event::{Clock, EventKind};
 use crate::hub::TraceExport;
+use crate::json::{self, Fixed};
 
 /// Perfetto pid for wall-clock tracks.
 pub const WALL_PID: u32 = 1;
@@ -22,89 +22,81 @@ impl TraceExport {
     /// `chrome://tracing` or `ui.perfetto.dev`.
     #[must_use]
     pub fn to_perfetto_json(&self) -> String {
-        let mut out = String::from("{\n\"traceEvents\": [\n");
-        let mut first = true;
-        let push = |out: &mut String, line: &str, first: &mut bool| {
-            if !*first {
-                out.push_str(",\n");
-            }
-            *first = false;
-            out.push_str(line);
-        };
-
-        // Process + thread name metadata so both domains are labelled.
-        push(
-            &mut out,
-            &format!(
-                "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {WALL_PID}, \"tid\": 0, \"args\": {{\"name\": \"service (wall clock)\"}}}}"
-            ),
-            &mut first,
-        );
-        push(
-            &mut out,
-            &format!(
-                "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {DEVICE_PID}, \"tid\": 0, \"args\": {{\"name\": \"device (cycle clock)\"}}}}"
-            ),
-            &mut first,
-        );
-        for (idx, track) in self.tracks.iter().enumerate() {
-            let (pid, label) = match track.clock {
-                Clock::Wall => (WALL_PID, track.name.clone()),
-                Clock::Device => (
-                    DEVICE_PID,
-                    format!("{} ({} ps/cycle)", track.name, track.period_ps),
-                ),
-            };
-            push(
-                &mut out,
-                &format!(
-                    "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {pid}, \"tid\": {}, \"args\": {{\"name\": \"{label}\"}}}}",
-                    idx + 1
-                ),
-                &mut first,
-            );
-        }
-
-        for event in &self.events {
-            let Some(track) = self.tracks.get(event.track.0 as usize) else {
-                continue;
-            };
-            // Both domains land on one µs timeline: wall ns straight
-            // through, device cycles via the declared period.
-            let (pid, scale_us) = match track.clock {
-                Clock::Wall => (WALL_PID, 1e-3),
-                Clock::Device => (DEVICE_PID, track.period_ps as f64 * 1e-6),
-            };
-            let tid = event.track.0 + 1;
-            let ts = event.ts as f64 * scale_us;
-            let name = event.stage.name();
-            let cat = track.clock.name();
-            let line = match event.kind {
-                EventKind::Span => {
-                    let dur = event.dur as f64 * scale_us;
-                    format!(
-                        "{{\"ph\": \"X\", \"name\": \"{name}\", \"cat\": \"{cat}\", \"ts\": {ts:.3}, \"dur\": {dur:.3}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"id\": {}, \"arg\": {}}}}}",
-                        event.id, event.arg
-                    )
+        json::object(|o| {
+            o.array("traceEvents", |a| {
+                // Process + thread name metadata so both domains are
+                // labelled.
+                let mut meta = |name: &str, pid: u32, tid: usize, label: &str| {
+                    a.object(|e| {
+                        e.field("ph", "M")
+                            .field("name", name)
+                            .field("pid", pid)
+                            .field("tid", tid)
+                            .object("args", |x| {
+                                x.field("name", label);
+                            });
+                    });
+                };
+                meta("process_name", WALL_PID, 0, "service (wall clock)");
+                meta("process_name", DEVICE_PID, 0, "device (cycle clock)");
+                for (idx, track) in self.tracks.iter().enumerate() {
+                    match track.clock {
+                        Clock::Wall => meta("thread_name", WALL_PID, idx + 1, &track.name),
+                        Clock::Device => meta(
+                            "thread_name",
+                            DEVICE_PID,
+                            idx + 1,
+                            &format!("{} ({} ps/cycle)", track.name, track.period_ps),
+                        ),
+                    }
                 }
-                EventKind::Instant => format!(
-                    "{{\"ph\": \"i\", \"name\": \"{name}\", \"cat\": \"{cat}\", \"ts\": {ts:.3}, \"s\": \"t\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"id\": {}, \"arg\": {}}}}}",
-                    event.id, event.arg
-                ),
-                EventKind::Counter => format!(
-                    "{{\"ph\": \"C\", \"name\": \"{name}\", \"cat\": \"{cat}\", \"ts\": {ts:.3}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"{name}\": {}}}}}",
-                    event.arg
-                ),
-            };
-            push(&mut out, &line, &mut first);
-        }
-
-        let _ = write!(
-            out,
-            "\n],\n\"displayTimeUnit\": \"ns\",\n\"otherData\": {{\"droppedEvents\": {}}}\n}}\n",
-            self.dropped
-        );
-        out
+                for event in &self.events {
+                    let Some(track) = self.tracks.get(event.track.0 as usize) else {
+                        continue;
+                    };
+                    // Both domains land on one µs timeline: wall ns
+                    // straight through, device cycles via the declared
+                    // period.
+                    let (pid, scale_us) = match track.clock {
+                        Clock::Wall => (WALL_PID, 1e-3),
+                        Clock::Device => (DEVICE_PID, track.period_ps as f64 * 1e-6),
+                    };
+                    let name = event.stage.name();
+                    let ph = match event.kind {
+                        EventKind::Span => "X",
+                        EventKind::Instant => "i",
+                        EventKind::Counter => "C",
+                    };
+                    a.object(|e| {
+                        e.field("ph", ph)
+                            .field("name", name)
+                            .field("cat", track.clock.name())
+                            .field("ts", Fixed(event.ts as f64 * scale_us, 3));
+                        match event.kind {
+                            EventKind::Span => {
+                                e.field("dur", Fixed(event.dur as f64 * scale_us, 3));
+                            }
+                            EventKind::Instant => {
+                                e.field("s", "t");
+                            }
+                            EventKind::Counter => {}
+                        }
+                        e.field("pid", pid)
+                            .field("tid", event.track.0 + 1)
+                            .object("args", |x| {
+                                if event.kind == EventKind::Counter {
+                                    x.field(name, event.arg);
+                                } else {
+                                    x.field("id", event.id).field("arg", event.arg);
+                                }
+                            });
+                    });
+                }
+            });
+            o.field("displayTimeUnit", "ns").object("otherData", |x| {
+                x.field("droppedEvents", self.dropped);
+            });
+        })
     }
 }
 

@@ -1,10 +1,11 @@
 //! Counter registry and per-stage duration histograms.
 
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::event::{EventKind, Stage, TraceEvent};
+use crate::json::{self, Fixed};
+use crate::reservoir::{percentile, Reservoir, SplitMix64};
 
 /// Named counters maintained by the hub — cheap atomic increments
 /// shared by every recorder, mirrored into [`TelemetrySummary`] and
@@ -189,20 +190,18 @@ impl CounterRegistry {
     }
 }
 
-/// Reservoir capacity for per-stage duration sampling.
-const RESERVOIR_CAP: usize = 4096;
-
 /// Streaming per-stage duration accumulator: exact count/sum/max plus
 /// a seeded reservoir for percentiles. Recorders keep one locally
 /// (lock-free) and merge into the hub's on flush, so histograms stay
-/// exact in count even when the event ring drops oldest entries.
+/// exact in count even when the event ring drops oldest entries. One
+/// random stream serves every stage's reservoir.
 #[derive(Debug, Clone)]
 pub struct StageAccum {
     counts: [u64; Stage::ALL.len()],
     sums: [u64; Stage::ALL.len()],
     maxes: [u64; Stage::ALL.len()],
-    samples: Vec<Vec<u64>>,
-    rng: u64,
+    samples: Vec<Reservoir>,
+    rng: SplitMix64,
 }
 
 impl Default for StageAccum {
@@ -211,22 +210,13 @@ impl Default for StageAccum {
             counts: [0; Stage::ALL.len()],
             sums: [0; Stage::ALL.len()],
             maxes: [0; Stage::ALL.len()],
-            samples: vec![Vec::new(); Stage::ALL.len()],
-            rng: 0x51ED_2701_9E37_79B9,
+            samples: vec![Reservoir::default(); Stage::ALL.len()],
+            rng: SplitMix64(0x51ED_2701_9E37_79B9),
         }
     }
 }
 
 impl StageAccum {
-    fn next_rand(&mut self) -> u64 {
-        // SplitMix64 — deterministic reservoir replacement.
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// Folds a span event's duration into the stage histogram
     /// (instants and counters don't carry durations and are skipped).
     pub fn observe(&mut self, event: &TraceEvent) {
@@ -237,15 +227,7 @@ impl StageAccum {
         self.counts[idx] += 1;
         self.sums[idx] = self.sums[idx].saturating_add(event.dur);
         self.maxes[idx] = self.maxes[idx].max(event.dur);
-        let seen = self.counts[idx];
-        if self.samples[idx].len() < RESERVOIR_CAP {
-            self.samples[idx].push(event.dur);
-        } else {
-            let j = self.next_rand() % seen;
-            if (j as usize) < RESERVOIR_CAP {
-                self.samples[idx][j as usize] = event.dur;
-            }
-        }
+        self.samples[idx].offer(event.dur, self.counts[idx], &mut self.rng);
     }
 
     /// Merges `other` into `self` (hub-side flush).
@@ -254,13 +236,8 @@ impl StageAccum {
             self.counts[idx] += other.counts[idx];
             self.sums[idx] = self.sums[idx].saturating_add(other.sums[idx]);
             self.maxes[idx] = self.maxes[idx].max(other.maxes[idx]);
-            for &sample in &other.samples[idx] {
-                if self.samples[idx].len() < RESERVOIR_CAP {
-                    self.samples[idx].push(sample);
-                } else {
-                    let j = self.next_rand() as usize % RESERVOIR_CAP;
-                    self.samples[idx][j] = sample;
-                }
+            for &sample in other.samples[idx].samples() {
+                self.samples[idx].absorb(sample, &mut self.rng);
             }
         }
     }
@@ -280,8 +257,7 @@ impl StageAccum {
             if self.counts[idx] == 0 {
                 continue;
             }
-            let mut sorted = self.samples[idx].clone();
-            sorted.sort_unstable();
+            let sorted = self.samples[idx].sorted();
             out.push(StageSummary {
                 stage: stage.name(),
                 unit: clock_of(stage),
@@ -295,16 +271,6 @@ impl StageAccum {
         }
         out
     }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-#[must_use]
-fn percentile(sorted: &[u64], pct: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// One stage's duration histogram.
@@ -356,33 +322,31 @@ impl TelemetrySummary {
         self.stages.iter().find(|s| s.stage == stage.name())
     }
 
-    /// Hand-rolled JSON object (the repo's no-serde convention).
+    /// The summary as a JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n      \"stages\": [");
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n        {{\"stage\": \"{}\", \"unit\": \"{}\", \"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-                s.stage, s.unit, s.count, s.mean, s.p50, s.p95, s.p99, s.max
-            );
-        }
-        out.push_str("\n      ],\n      \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n        \"{name}\": {value}");
-        }
-        let _ = write!(
-            out,
-            "\n      }},\n      \"dropped_events\": {}\n    }}",
-            self.dropped_events
-        );
-        out
+        json::object(|o| {
+            o.array("stages", |a| {
+                for s in &self.stages {
+                    a.object(|r| {
+                        r.field("stage", s.stage)
+                            .field("unit", s.unit)
+                            .field("count", s.count)
+                            .field("mean", Fixed(s.mean, 1))
+                            .field("p50", s.p50)
+                            .field("p95", s.p95)
+                            .field("p99", s.p99)
+                            .field("max", s.max);
+                    });
+                }
+            });
+            o.object("counters", |c| {
+                for &(name, value) in &self.counters {
+                    c.field(name, value);
+                }
+            });
+            o.field("dropped_events", self.dropped_events);
+        })
     }
 }
 
@@ -484,16 +448,17 @@ mod tests {
     #[test]
     fn reservoir_stays_bounded_past_capacity() {
         let mut accum = StageAccum::default();
-        for dur in 0..(RESERVOIR_CAP as u64 * 3) {
+        let n = Reservoir::CAP as u64 * 3;
+        for dur in 0..n {
             accum.observe(&span(Stage::Shard, dur));
         }
         assert_eq!(
-            accum.samples[Stage::Shard.code() as usize].len(),
-            RESERVOIR_CAP
+            accum.samples[Stage::Shard.code() as usize].samples().len(),
+            Reservoir::CAP
         );
         let stages = accum.summarize(|_| "device_cycles");
-        assert_eq!(stages[0].count, RESERVOIR_CAP as u64 * 3);
-        assert_eq!(stages[0].max, RESERVOIR_CAP as u64 * 3 - 1);
+        assert_eq!(stages[0].count, n);
+        assert_eq!(stages[0].max, n - 1);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Lowers deterministic placements onto per-device/per-array trace
-//! tracks: grant instants, gather-wait spans, per-shard busy spans
-//! with the reduction sub-span, and idle gaps between placements.
+//! tracks: grant instants, gather-wait spans, and per-shard busy spans
+//! with the reduction sub-span.
 //!
 //! The dispatcher owns one of these and feeds it every completed
-//! placement; all timestamps are device cycles straight from the
-//! ledger/backend model, so the resulting tracks are bit-identical
+//! placement; idle gaps between placements come from the ledger's own
+//! gap record, lowered by the dispatcher onto [`DeviceTimeline::array_track`]
+//! in placement order. All timestamps are device cycles straight from
+//! the ledger/backend model, so the resulting tracks are bit-identical
 //! run to run.
 
 use std::collections::HashMap;
@@ -46,9 +48,6 @@ pub struct DeviceTimeline {
     period_ps: u64,
     device_tracks: HashMap<usize, TrackId>,
     array_tracks: HashMap<(usize, usize), TrackId>,
-    /// Busy frontier per (device, array): end cycle of the latest
-    /// placement seen, for idle-gap derivation.
-    frontier: HashMap<(usize, usize), u64>,
 }
 
 impl DeviceTimeline {
@@ -61,7 +60,6 @@ impl DeviceTimeline {
             period_ps,
             device_tracks: HashMap::new(),
             array_tracks: HashMap::new(),
-            frontier: HashMap::new(),
         }
     }
 
@@ -77,7 +75,8 @@ impl DeviceTimeline {
             .or_insert_with(|| hub.track(&format!("dev{device}"), Clock::Device, period))
     }
 
-    fn array_track(&mut self, device: usize, array: usize) -> TrackId {
+    /// The `dev{device}/arr{array}` track (registered on first use).
+    pub fn array_track(&mut self, device: usize, array: usize) -> TrackId {
         let hub = &self.hub;
         let period = self.period_ps;
         *self
@@ -122,25 +121,8 @@ impl DeviceTimeline {
                 placed.arrays.len() as u64,
             );
         }
-        let end = placed.start + placed.duration;
         for (pos, &array) in placed.arrays.iter().enumerate() {
             let track = self.array_track(placed.device, array);
-            let key = (placed.device, array);
-            if let Some(&prev_end) = self.frontier.get(&key) {
-                // A gap opens only when this placement starts past the
-                // array's busy frontier; backfills run *inside* a gap
-                // someone else's account already opened.
-                if !placed.backfilled && placed.start > prev_end {
-                    sink.span(
-                        track,
-                        Stage::ArrayIdle,
-                        prev_end,
-                        placed.start - prev_end,
-                        array as u64,
-                        0,
-                    );
-                }
-            }
             match placed.per_shard_cycles.get(pos) {
                 Some(&shard_cycles) if placed.per_shard_cycles.len() > 1 => {
                     sink.span(
@@ -163,8 +145,6 @@ impl DeviceTimeline {
                     );
                 }
             }
-            let entry = self.frontier.entry(key).or_insert(0);
-            *entry = (*entry).max(end);
         }
     }
 }
@@ -172,7 +152,6 @@ impl DeviceTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
 
     #[test]
     fn placements_become_grant_shard_and_reduce_spans() {
@@ -208,43 +187,6 @@ mod tests {
         assert_eq!((wait.ts, wait.dur), (80, 20));
         let reduce = dev.iter().find(|e| e.stage == Stage::Reduce).unwrap();
         assert_eq!((reduce.ts, reduce.dur), (150, 10));
-    }
-
-    #[test]
-    fn idle_gaps_open_between_placements_but_not_under_backfill() {
-        let hub = Telemetry::enabled(256);
-        let mut timeline = DeviceTimeline::new(&hub, 4000);
-        let mut sink = hub.sink();
-        let place = |start: u64, dur: u64, backfilled: bool| PlacedSpan {
-            device: 0,
-            job_id: start,
-            arrays: &[1],
-            start,
-            duration: dur,
-            wait_cycles: 0,
-            granted: 1,
-            backfilled,
-            per_shard_cycles: &[],
-            reduction_cycles: 0,
-        };
-        timeline.observe(&mut sink, &place(0, 50, false));
-        // Gap 50..120, then a backfill drops inside it.
-        timeline.observe(&mut sink, &place(120, 30, false));
-        timeline.observe(&mut sink, &place(60, 20, true));
-        drop(sink);
-        let export = hub.export().unwrap();
-        let events = export.track_events("dev0/arr1");
-        let idles: Vec<_> = events
-            .iter()
-            .filter(|e| e.stage == Stage::ArrayIdle)
-            .collect();
-        assert_eq!(idles.len(), 1, "only the real gap is an idle span");
-        assert_eq!((idles[0].ts, idles[0].dur), (50, 70));
-        let busy = events
-            .iter()
-            .filter(|e| e.stage == Stage::ArrayBusy && e.kind == EventKind::Span)
-            .count();
-        assert_eq!(busy, 3);
     }
 
     #[test]

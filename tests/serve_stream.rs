@@ -503,14 +503,17 @@ fn all_arrays_device_account_is_placed_at_dispatch() {
             let telemetry = service.telemetry();
             let (stats, _) = service.shutdown();
             let export = telemetry.export().expect("traced run exports");
-            // Idle-gap spans are derived in the order placements are
-            // observed, so only the job spans are compared.
             let mut spans: Vec<(u64, u64, u64)> = (export.events.iter())
-                .filter(|e| e.kind == EventKind::Span && e.stage != Stage::ArrayIdle)
+                .filter(|e| e.kind == EventKind::Span)
                 .filter(|e| export.tracks[e.track.0 as usize].clock == Clock::Device)
                 .map(|e| (e.id, e.ts, e.dur))
                 .collect();
             spans.sort_unstable();
+            // Idle spans are the ledger's own gap record, one per gap.
+            let idle = (export.events.iter())
+                .filter(|e| e.kind == EventKind::Span && e.stage == Stage::ArrayIdle)
+                .count() as u64;
+            assert_eq!(idle, stats.device.idle_gap_count, "{kind:?}: idle spans");
             (spans, stats, executed, served_cycles)
         };
         let (spans, stats, executed, served_cycles) = run();
