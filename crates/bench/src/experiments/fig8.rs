@@ -32,7 +32,8 @@ pub fn run(seed: u64, max_weights: usize) -> Fig8 {
 /// Summary table vs paper targets. Note: the paper quotes 2 silent PEs
 /// for ResNeXt101, which is internally inconsistent with its own
 /// Table I (2.64% × 256 lanes ≈ 6.8); we pin Table I and report the
-/// implied silent-PE count (see EXPERIMENTS.md).
+/// implied silent-PE count (see the README's "Reproducing the paper"
+/// section).
 #[must_use]
 pub fn summary_table(fig: &Fig8) -> Table {
     let mut t = Table::new([

@@ -406,14 +406,6 @@ impl TempusCore {
         } else {
             merged.pe_pulse_cycles as f64 / lane_cycles as f64
         };
-        // Refine per-shard activity to pulse/gated PE-cycles.
-        for (shard, ts) in run.shards.iter_mut().zip(&per_shard) {
-            let mut activity = tempus_sim::ActivityCounter::new();
-            activity.record_active_n(ts.pe_pulse_cycles);
-            activity.record_gated_n(ts.pe_gated_cycles);
-            shard.activity =
-                tempus_sim::ShardActivity::new(shard.index, shard.stats.cycles, activity);
-        }
         self.last_stats = merged;
         Ok(run)
     }

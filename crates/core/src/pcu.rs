@@ -400,9 +400,10 @@ impl Pcu {
     /// Pops at most `ticks` already-buffered bundles (one per cycle,
     /// oldest first), mirroring the per-cycle pop a tick loop does.
     fn pop_buffered(&mut self, ticks: u32, on_bundle: &mut impl FnMut(PsumBundle)) {
-        let pops = (self.output.len() as u32).min(ticks);
-        for _ in 0..pops {
-            let bundle = self.output.pop().expect("counted as buffered");
+        for _ in 0..ticks {
+            let Some(bundle) = self.output.pop() else {
+                break;
+            };
             on_bundle(bundle);
         }
     }

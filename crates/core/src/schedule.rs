@@ -15,9 +15,10 @@
 //!   array count by summing rectangles;
 //! * a weight-digest-keyed memo of profiles, so a repeated layer costs
 //!   one hash lookup instead of a weight scan, at every width;
-//! * [`ScheduleCache::predict`] — produces *bit-identical* totals to
-//!   [`crate::latency::predict`] (tests pin this), which is itself
-//!   pinned to the cycle-accurate simulation.
+//! * [`ScheduleCache::predict_sharded`] — the memoized profile priced
+//!   at any width; at one array its critical path is *bit-identical*
+//!   to [`crate::latency::predict`]'s total (tests pin this), which is
+//!   itself pinned to the cycle-accurate simulation.
 //!
 //! The cache is intended to be owned per worker thread (no interior
 //! locking): each worker of the runtime engine keeps its own instance,
@@ -30,7 +31,6 @@ use tempus_nvdla::conv::ConvParams;
 use tempus_nvdla::cube::{DataCube, KernelSet};
 use tempus_nvdla::NvdlaError;
 
-use crate::latency::LatencyBreakdown;
 use crate::shard::{balance, plan_conv, ShardPlan, ShardStrategy};
 use crate::TempusConfig;
 
@@ -182,10 +182,9 @@ impl CacheStats {
 }
 
 /// Memo key for a cost profile: the stripe shape, the weight digest,
-/// and every [`TempusConfig`] field the profile depends on (cache
-/// overheads and the baseline's pipeline depth, which feeds
-/// `binary_cycles`/`slowdown`).
-type LatencyKey = (ShapeKey, u64, u32, u32, u32);
+/// and the [`TempusConfig`] fields the profile depends on (the cache
+/// overheads).
+type LatencyKey = (ShapeKey, u64, u32, u32);
 
 /// Closed-form latency of a convolution partitioned across N PE
 /// arrays — the functional backend's model of the multi-array engine,
@@ -226,16 +225,14 @@ impl ShardedLatency {
 /// summing rectangles: the same u64 sums over the same stripes, hence
 /// bit-identical to the per-shard cycles of
 /// [`TempusCore::convolve_sharded`](crate::TempusCore::convolve_sharded)
-/// at every width, and to [`crate::latency::predict`] at one array
-/// (tests pin both).
+/// at every width, and to [`crate::latency::predict`]'s total at one
+/// array (tests pin both).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvCostProfile {
     schedule: StripeSchedule,
     k: usize,
     c: usize,
     array: (usize, usize),
-    overhead_per_op: u64,
-    cmac_pipeline_depth: u32,
     /// Cycles of rectangle `(kg, cg)` at `kg * channel_groups + cg`.
     rects: Vec<u64>,
 }
@@ -282,8 +279,6 @@ impl ConvCostProfile {
             k: kernels.k(),
             c: kernels.c(),
             array: (atomic_k, atomic_c),
-            overhead_per_op,
-            cmac_pipeline_depth: config.base.cmac_pipeline_depth,
             rects,
         }
     }
@@ -298,34 +293,6 @@ impl ConvCostProfile {
                     .sum::<u64>()
             })
             .sum()
-    }
-
-    /// The single-array latency breakdown — bit-identical to
-    /// [`crate::latency::predict`].
-    fn breakdown(&self) -> LatencyBreakdown {
-        let weight_load_cycles = self.schedule.stripe_count;
-        let ops = self.schedule.atomic_op_count();
-        let overhead_cycles = self.overhead_per_op * ops;
-        let total_cycles: u64 = self.rects.iter().sum();
-        let window_cycles = total_cycles - weight_load_cycles - overhead_cycles;
-        let binary_cycles = weight_load_cycles + ops + u64::from(self.cmac_pipeline_depth);
-        LatencyBreakdown {
-            weight_load_cycles,
-            window_cycles,
-            overhead_cycles,
-            total_cycles,
-            avg_window: if ops == 0 {
-                0.0
-            } else {
-                window_cycles as f64 / ops as f64
-            },
-            binary_cycles,
-            slowdown: if binary_cycles == 0 {
-                0.0
-            } else {
-                total_cycles as f64 / binary_cycles as f64
-            },
-        }
     }
 
     /// The latency across `num_arrays` PE arrays: plans the split
@@ -444,7 +411,6 @@ impl ScheduleCache {
             kernels.content_hash(),
             config.cache_in_cycles,
             config.cache_out_cycles,
-            config.base.cmac_pipeline_depth,
         );
         if self.profiles.contains_key(&memo_key) {
             self.stats.latency_hits += 1;
@@ -458,24 +424,6 @@ impl ScheduleCache {
             self.profiles.insert(memo_key, profile);
         }
         Ok(&self.profiles[&memo_key])
-    }
-
-    /// Closed-form latency prediction with schedule caching and
-    /// weight-digest memoization. Totals are bit-identical to
-    /// [`crate::latency::predict`] (and therefore to the
-    /// cycle-accurate simulator).
-    ///
-    /// # Errors
-    ///
-    /// Returns the sequencer's shape errors.
-    pub fn predict(
-        &mut self,
-        features: &DataCube,
-        kernels: &KernelSet,
-        params: &ConvParams,
-        config: &TempusConfig,
-    ) -> Result<LatencyBreakdown, NvdlaError> {
-        Ok(self.profile(features, kernels, params, config)?.breakdown())
     }
 
     /// Closed-form multi-array latency prediction: the memoized
@@ -550,8 +498,13 @@ mod tests {
                 let config =
                     TempusConfig::nv_small().with_cache_overheads(overheads.0, overheads.1);
                 let walked = latency::predict(&f, &kn, &params, &config).unwrap();
-                let cached = cache.predict(&f, &kn, &params, &config).unwrap();
-                assert_eq!(walked, cached, "c={c} k={k} ksize={ksize}");
+                let cached = cache.predict_sharded(&f, &kn, &params, &config, 1).unwrap();
+                assert_eq!(
+                    cached.critical_path_cycles, walked.total_cycles,
+                    "c={c} k={k} ksize={ksize}"
+                );
+                assert_eq!(cached.per_shard_cycles, [walked.total_cycles]);
+                assert_eq!(cached.reduction_cycles, 0);
             }
         }
     }
@@ -575,18 +528,27 @@ mod tests {
         let mut cache = ScheduleCache::new();
         for i in 0..=PROFILE_MEMO_CAP {
             let kn = weights(i);
-            let cached = cache.predict(&features, &kn, &params, &config).unwrap();
+            let cached = cache
+                .predict_sharded(&features, &kn, &params, &config, 1)
+                .unwrap();
             let walked = latency::predict(&features, &kn, &params, &config).unwrap();
-            assert_eq!(cached, walked, "weight set {i}");
+            assert_eq!(
+                cached.critical_path_cycles, walked.total_cycles,
+                "weight set {i}"
+            );
             assert!(cache.len().1 <= PROFILE_MEMO_CAP);
         }
         assert_eq!(cache.stats().latency_misses, PROFILE_MEMO_CAP as u64 + 1);
         let kn = weights(PROFILE_MEMO_CAP);
-        let again = cache.predict(&features, &kn, &params, &config).unwrap();
+        let again = cache
+            .predict_sharded(&features, &kn, &params, &config, 1)
+            .unwrap();
         assert_eq!(cache.stats().latency_hits, 1, "a repeat still hits");
         assert_eq!(
-            again,
-            latency::predict(&features, &kn, &params, &config).unwrap()
+            again.critical_path_cycles,
+            latency::predict(&features, &kn, &params, &config)
+                .unwrap()
+                .total_cycles
         );
     }
 
@@ -596,10 +558,10 @@ mod tests {
         let params = ConvParams::unit_stride_same(3);
         let config = TempusConfig::nv_small();
         let mut cache = ScheduleCache::new();
-        let predicted = cache.predict(&f, &kn, &params, &config).unwrap();
+        let predicted = cache.predict_sharded(&f, &kn, &params, &config, 1).unwrap();
         let mut core = TempusCore::new(config);
         let run = core.convolve(&f, &kn, &params).unwrap();
-        assert_eq!(predicted.total_cycles, run.stats.cycles);
+        assert_eq!(predicted.critical_path_cycles, run.stats.cycles);
     }
 
     #[test]
@@ -638,7 +600,7 @@ mod tests {
         let params = ConvParams::valid();
         let config = TempusConfig::nv_small();
         let mut cache = ScheduleCache::new();
-        let single = cache.predict(&f, &kn, &params, &config).unwrap();
+        let single = latency::predict(&f, &kn, &params, &config).unwrap();
         for arrays in [1usize, 2, 3, 4, 8] {
             let sharded = cache
                 .predict_sharded(&f, &kn, &params, &config, arrays)
@@ -661,10 +623,10 @@ mod tests {
         }
         assert_eq!(cache.stats().latency_misses, misses);
         assert_eq!(cache.stats().latency_hits, 5);
-        // The profile is width-invariant: other array counts and the
-        // single-array prediction are answered from the same entry.
+        // The profile is width-invariant: other array counts,
+        // one array included, are answered from the same entry.
         let _ = cache.predict_sharded(&f, &kn, &params, &config, 4).unwrap();
-        let _ = cache.predict(&f, &kn, &params, &config).unwrap();
+        let _ = cache.predict_sharded(&f, &kn, &params, &config, 1).unwrap();
         assert_eq!(cache.stats().latency_misses, misses);
         assert_eq!(cache.stats().latency_hits, 7);
         assert_eq!(cache.len(), (1, 1));
@@ -676,9 +638,9 @@ mod tests {
         let params = ConvParams::valid();
         let config = TempusConfig::nv_small();
         let mut cache = ScheduleCache::new();
-        let first = cache.predict(&f, &kn, &params, &config).unwrap();
+        let first = cache.predict_sharded(&f, &kn, &params, &config, 1).unwrap();
         for _ in 0..9 {
-            let again = cache.predict(&f, &kn, &params, &config).unwrap();
+            let again = cache.predict_sharded(&f, &kn, &params, &config, 1).unwrap();
             assert_eq!(first, again);
         }
         let stats = cache.stats();
@@ -686,7 +648,9 @@ mod tests {
         assert_eq!(stats.latency_hits, 9);
         // Same shape with different weights: schedule hits, memo misses.
         let (_, other) = case(8, 8, 3, 6);
-        cache.predict(&f, &other, &params, &config).unwrap();
+        cache
+            .predict_sharded(&f, &other, &params, &config, 1)
+            .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.latency_misses, 2);
         assert_eq!(stats.schedule_hits, 1);
@@ -694,21 +658,23 @@ mod tests {
     }
 
     #[test]
-    fn memo_distinguishes_pipeline_depths() {
-        // Same shape, weights and overheads, different baseline
-        // pipeline depth: binary_cycles differ, so one shared cache
-        // must not conflate them.
+    fn pipeline_depth_shares_one_profile() {
+        // The binary baseline's pipeline depth does not move Tempus
+        // cycles, so configs differing only there share one profile.
         let (f, kn) = case(8, 8, 3, 4);
         let params = ConvParams::valid();
         let mut cache = ScheduleCache::new();
         let shallow = TempusConfig::nv_small();
         let mut deep = shallow;
         deep.base.cmac_pipeline_depth = shallow.base.cmac_pipeline_depth + 5;
-        let a = cache.predict(&f, &kn, &params, &shallow).unwrap();
-        let b = cache.predict(&f, &kn, &params, &deep).unwrap();
-        assert_eq!(b.binary_cycles, a.binary_cycles + 5);
-        assert_eq!(a, latency::predict(&f, &kn, &params, &shallow).unwrap());
-        assert_eq!(b, latency::predict(&f, &kn, &params, &deep).unwrap());
+        let a = cache
+            .predict_sharded(&f, &kn, &params, &shallow, 1)
+            .unwrap();
+        let b = cache.predict_sharded(&f, &kn, &params, &deep, 1).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(cache.len(), (1, 1));
+        let walked = latency::predict(&f, &kn, &params, &deep).unwrap();
+        assert_eq!(b.critical_path_cycles, walked.total_cycles);
     }
 
     #[test]
@@ -717,7 +683,7 @@ mod tests {
         let kn = KernelSet::zeros(2, 3, 3, 5);
         let mut cache = ScheduleCache::new();
         assert!(matches!(
-            cache.predict(&f, &kn, &ConvParams::valid(), &TempusConfig::nv_small()),
+            cache.predict_sharded(&f, &kn, &ConvParams::valid(), &TempusConfig::nv_small(), 1),
             Err(NvdlaError::ChannelMismatch { .. })
         ));
         assert!(cache.is_empty());

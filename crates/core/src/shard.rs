@@ -36,7 +36,6 @@ use tempus_nvdla::conv::ConvParams;
 use tempus_nvdla::cube::{DataCube, KernelSet};
 use tempus_nvdla::pipeline::{ConvCore, RunStats};
 use tempus_nvdla::NvdlaError;
-use tempus_sim::{ActivityCounter, ShardActivity};
 
 /// How a job is split across arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -491,9 +490,6 @@ pub struct ShardStats {
     pub hi: usize,
     /// The shard's full run statistics on its own array.
     pub stats: RunStats,
-    /// The shard's clock and PE activity (cell-cycles for the binary
-    /// core, pulse/gated PE-cycles once the Tempus driver refines it).
-    pub activity: ShardActivity,
 }
 
 /// Result of a multi-array convolution.
@@ -566,17 +562,14 @@ pub fn convolve_sharded_with<C: ConvCore, F: FnMut(&C)>(
     if plan.strategy == ShardStrategy::Single {
         let run = core.convolve(features, kernels, params)?;
         observe(core);
-        let cycles = run.stats.cycles;
-        let activity = cell_activity(&run.stats, cfg.atomic_c);
         return Ok(ShardedConvRun {
-            critical_path_cycles: cycles,
+            critical_path_cycles: run.stats.cycles,
             reduction_cycles: 0,
             shards: vec![ShardStats {
                 index: 0,
                 lo: 0,
                 hi: kernels.k(),
                 stats: run.stats,
-                activity: ShardActivity::new(0, cycles, activity),
             }],
             stats: run.stats,
             output: run.output,
@@ -600,13 +593,11 @@ pub fn convolve_sharded_with<C: ConvCore, F: FnMut(&C)>(
             ShardStrategy::Single => unreachable!("handled above"),
         };
         observe(core);
-        let activity = cell_activity(&run.stats, cfg.atomic_c);
         shards.push(ShardStats {
             index,
             lo: slice.lo,
             hi: slice.hi,
             stats: run.stats,
-            activity: ShardActivity::new(index, run.stats.cycles, activity),
         });
         shard_outputs.push(run.output);
     }
@@ -658,16 +649,6 @@ pub fn convolve_sharded_with<C: ConvCore, F: FnMut(&C)>(
         reduction_cycles,
         critical_path_cycles: max_shard + reduction_cycles,
     })
-}
-
-/// Reconstructs a cell-cycle [`ActivityCounter`] from run statistics:
-/// `macs / atomic_c` active cell-cycles (the binary core's exact
-/// inverse) plus the recorded gated cell-cycles.
-fn cell_activity(stats: &RunStats, atomic_c: usize) -> ActivityCounter {
-    let mut a = ActivityCounter::new();
-    a.record_active_n(stats.macs / atomic_c.max(1) as u64);
-    a.record_gated_n(stats.gated_cell_cycles);
-    a
 }
 
 /// Element-wise cross-array reduction of channel-shard partial sums,

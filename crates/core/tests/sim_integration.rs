@@ -1,55 +1,34 @@
-//! Integration between the simulation kernel (`tempus-sim`) and the
-//! cycle-accurate Tempus Core components: drive a PCU testbench as a
-//! [`Clocked`] device under the watchdog [`Simulator`], and capture a
-//! waveform with the VCD writer.
+//! The cycle-accurate Tempus Core PCU driven the way a testbench
+//! drives RTL: a per-cycle tick loop feeding atomic ops, a comparison
+//! of its bundle stream against the binary CMAC's, and a waveform
+//! capture through the VCD writer.
 
 use tempus_arith::{dot, IntPrecision};
 use tempus_core::pcu::Pcu;
 use tempus_nvdla::cmac::PsumBundle;
 use tempus_nvdla::csc::AtomicOp;
-use tempus_sim::{Clocked, Fifo, Simulator, VcdValue, VcdWriter};
+use tempus_sim::{VcdValue, VcdWriter};
 
-/// A self-driving testbench: feeds queued atomic ops into the PCU and
-/// collects bundles, implementing `Clocked` so the generic simulator
-/// machinery (watchdog, cycle accounting) drives it.
-struct PcuTestbench {
-    pcu: Pcu,
-    pending: Fifo<AtomicOp>,
-    collected: Vec<PsumBundle>,
-}
-
-impl PcuTestbench {
-    fn new(pcu: Pcu, ops: Vec<AtomicOp>) -> Self {
-        let mut pending = Fifo::new(ops.len().max(1));
-        for op in ops {
-            pending.push(op).expect("sized to fit");
+/// Feeds `ops` into `pcu` one per ready cycle and ticks until every op
+/// has produced its bundle (or 10,000 cycles pass, so a stalled PCU
+/// fails the test instead of hanging it); returns the bundles and the
+/// cycles ticked.
+fn drive(pcu: &mut Pcu, ops: &[AtomicOp]) -> (Vec<PsumBundle>, u64) {
+    let mut pending = ops.iter();
+    let mut next = pending.next();
+    let mut collected = Vec::new();
+    let mut cycles = 0u64;
+    while collected.len() < ops.len() && cycles < 10_000 {
+        if let Some(op) = next.filter(|_| pcu.ready()) {
+            pcu.begin(op).expect("operands validated by test");
+            next = pending.next();
         }
-        PcuTestbench {
-            pcu,
-            pending,
-            collected: Vec::new(),
+        if let Some(bundle) = pcu.tick() {
+            collected.push(bundle);
         }
+        cycles += 1;
     }
-
-    fn done(&self, expected: usize) -> bool {
-        self.collected.len() == expected
-    }
-}
-
-impl Clocked for PcuTestbench {
-    fn tick(&mut self) {
-        if self.pcu.ready() && self.pending.valid() {
-            let op = self.pending.pop().expect("valid checked");
-            self.pcu.begin(&op).expect("operands validated by test");
-        }
-        if let Some(bundle) = self.pcu.tick() {
-            self.collected.push(bundle);
-        }
-    }
-
-    fn reset(&mut self) {
-        self.collected.clear();
-    }
+    (collected, cycles)
 }
 
 #[test]
@@ -71,41 +50,19 @@ fn simulator_drives_pcu_to_completion() {
             ],
         })
         .collect();
-    let features: Vec<Vec<i32>> = ops.iter().map(|o| o.feature.clone()).collect();
 
-    let mut tb = PcuTestbench::new(pcu, ops);
-    let mut sim = Simulator::at_250_mhz();
-    let cycles = sim
-        .run_until(&mut tb, |tb| tb.done(5), 10_000)
-        .expect("PCU must drain all ops");
+    let (collected, cycles) = drive(&mut pcu, &ops);
 
     // 5 ops x (1 cache-in + 64 worst-case window + 1 cache-out) upper
     // bound; actual windows are set by the stripe scan.
     assert!(cycles <= 5 * 66 + 10, "cycles {cycles}");
-    assert_eq!(tb.collected.len(), 5);
-    for (bundle, feature) in tb.collected.iter().zip(&features) {
+    assert_eq!(collected.len(), 5, "PCU must drain all ops");
+    assert_eq!(pcu.cycles(), cycles);
+    for (bundle, op) in collected.iter().zip(&ops) {
         for (cell, sum) in bundle.sums.iter().enumerate() {
-            assert_eq!(*sum, dot::binary(feature, &weights[cell], p).unwrap());
+            assert_eq!(*sum, dot::binary(&op.feature, &weights[cell], p).unwrap());
         }
     }
-    // Wall-clock bookkeeping at 250 MHz.
-    assert!((sim.elapsed_ns() - cycles as f64 * 4.0).abs() < 1e-9);
-}
-
-#[test]
-fn watchdog_catches_starved_testbench() {
-    // A testbench whose done-condition can never be met must trip the
-    // watchdog rather than hang.
-    let p = IntPrecision::Int8;
-    let mut pcu = Pcu::new(1, 2, p, 1, 1);
-    pcu.load_weights(&[vec![1, 1]]).unwrap();
-    let mut tb = PcuTestbench::new(pcu, vec![]);
-    let mut sim = Simulator::at_250_mhz();
-    let err = sim.run_until(&mut tb, |tb| tb.done(1), 64).unwrap_err();
-    assert_eq!(
-        err.to_string(),
-        "simulation watchdog expired after 64 cycles"
-    );
 }
 
 #[test]
@@ -146,7 +103,6 @@ fn vcd_capture_of_a_pcu_window() {
 #[test]
 fn scoreboard_compares_pcu_against_cmac_stream() {
     use tempus_nvdla::cmac::BinaryCmac;
-    use tempus_sim::Scoreboard;
 
     let p = IntPrecision::Int8;
     let weights = vec![vec![2, -3, 5, 0], vec![7, 1, -1, 4], vec![0, 0, 0, 0]];
@@ -166,32 +122,15 @@ fn scoreboard_compares_pcu_against_cmac_stream() {
     // Reference stream: the binary CMAC.
     let mut cmac = BinaryCmac::new(3, 4, p, 1);
     cmac.load_weights(&weights);
-    let mut scoreboard = Scoreboard::new();
-    for op in &ops {
-        if let Some(bundle) = cmac.step(Some(op)) {
-            scoreboard.expect(bundle);
-        }
-    }
-    scoreboard.expect_all(cmac.drain());
+    let mut expected: Vec<PsumBundle> = ops.iter().filter_map(|op| cmac.step(Some(op))).collect();
+    expected.extend(cmac.drain());
 
     // Observed stream: the PCU, one multi-cycle window per op.
     let mut pcu = Pcu::new(3, 4, p, 1, 1);
     pcu.load_weights(&weights).unwrap();
-    for op in &ops {
-        while !pcu.ready() {
-            if let Some(bundle) = pcu.tick() {
-                scoreboard.observe(bundle).expect("streams must agree");
-            }
-        }
-        pcu.begin(op).unwrap();
-    }
-    while !pcu.ready() {
-        if let Some(bundle) = pcu.tick() {
-            scoreboard.observe(bundle).expect("streams must agree");
-        }
-    }
-    for bundle in pcu.drain() {
-        scoreboard.observe(bundle).expect("streams must agree");
-    }
-    assert_eq!(scoreboard.finish().expect("all bundles matched"), 8);
+    let (mut observed, _) = drive(&mut pcu, &ops);
+    observed.extend(pcu.drain());
+
+    assert_eq!(expected.len(), 8);
+    assert_eq!(observed, expected);
 }

@@ -3,7 +3,7 @@
 //! These constants serve two purposes: a subset are *calibration
 //! anchors* for the synthesis/P&R models (see [`crate::calibration`]),
 //! and all of them are *comparison targets* printed next to measured
-//! values by the report harness (EXPERIMENTS.md).
+//! values by the report harness (README, "Reproducing the paper").
 //!
 //! Unit note: the paper's Table II and Fig. 4 label areas "µm²", which
 //! is physically impossible in 45nm (a lone NAND2 is 0.798 µm²); cross-

@@ -7,7 +7,7 @@
 //! are architecture-faithful encodings of the standard variants (the
 //! paper's "ShuffleNetV3" does not exist as a published architecture —
 //! we map it to ShuffleNetV2, the nearest published design, and note
-//! this in EXPERIMENTS.md).
+//! this in the README's "Reproducing the paper" section).
 
 mod inception;
 mod mobilenet;

@@ -50,10 +50,11 @@ pub struct Execution {
     /// `shards × slowest shard` (1.0 when single-array or perfectly
     /// balanced).
     pub shard_utilization: f64,
-    /// Per-shard busy cycles, one per occupied array, shard order.
-    /// Empty on single-array runs and on whole-network jobs (whose
-    /// layers shard independently) — telemetry renders those as one
-    /// flat busy interval instead of per-shard spans.
+    /// Per-shard busy cycles, one per occupied array, shard order
+    /// (`[sim_cycles]` on one array). Empty on whole-network jobs,
+    /// whose layers shard independently. Telemetry renders a vector
+    /// of length 0 or 1 as one flat busy interval instead of per-shard
+    /// spans.
     pub per_shard_cycles: Vec<u64>,
     /// Cycles of the cross-array reduction stage included in
     /// `sim_cycles` (0 when the split needed no reduction).
@@ -70,22 +71,6 @@ pub struct Execution {
 }
 
 impl Execution {
-    /// A single-array execution: latency and array-cycles coincide.
-    #[must_use]
-    pub fn single(output: JobOutput, sim_cycles: u64) -> Self {
-        Execution {
-            output,
-            sim_cycles,
-            total_array_cycles: sim_cycles,
-            shards: 1,
-            shard_utilization: 1.0,
-            per_shard_cycles: Vec::new(),
-            reduction_cycles: 0,
-            window_cycles: 0,
-            peak_scratch_elems: 0,
-        }
-    }
-
     /// Attaches the window-batch cycle count (builder style).
     #[must_use]
     pub fn with_window_cycles(mut self, window_cycles: u64) -> Self {
@@ -352,27 +337,18 @@ impl InferenceBackend for TempusBackend {
                 kernels,
                 params,
             } => {
-                if num_arrays > 1 {
-                    let run = self
-                        .core
-                        .convolve_sharded(features, kernels, params, num_arrays)?;
-                    let per_shard = run.per_shard_cycles();
-                    let windows = self.core.last_tempus_stats().total_window_cycles;
-                    Ok(sharded_execution(
-                        JobOutput::Cube(run.output),
-                        run.plan.used_arrays(),
-                        &per_shard,
-                        run.reduction_cycles,
-                    )
-                    .with_window_cycles(windows))
-                } else {
-                    let run = self.core.convolve(features, kernels, params)?;
-                    let windows = self.core.last_tempus_stats().total_window_cycles;
-                    Ok(
-                        Execution::single(JobOutput::Cube(run.output), run.stats.cycles)
-                            .with_window_cycles(windows),
-                    )
-                }
+                let run = self
+                    .core
+                    .convolve_sharded(features, kernels, params, num_arrays)?;
+                let per_shard = run.per_shard_cycles();
+                let windows = self.core.last_tempus_stats().total_window_cycles;
+                Ok(sharded_execution(
+                    JobOutput::Cube(run.output),
+                    run.plan.used_arrays(),
+                    &per_shard,
+                    run.reduction_cycles,
+                )
+                .with_window_cycles(windows))
             }
             JobPayload::Gemm { a, b } => {
                 let plan = gemm_stream_plan(&self.gemm, a, b, self.scratch_budget_elems);
@@ -477,29 +453,21 @@ impl InferenceBackend for NvdlaBackend {
                 kernels,
                 params,
             } => {
-                if num_arrays > 1 {
-                    let run = shard::convolve_sharded_with(
-                        &mut self.core,
-                        features,
-                        kernels,
-                        params,
-                        num_arrays,
-                        |_| {},
-                    )?;
-                    let per_shard = run.per_shard_cycles();
-                    Ok(sharded_execution(
-                        JobOutput::Cube(run.output),
-                        run.plan.used_arrays(),
-                        &per_shard,
-                        run.reduction_cycles,
-                    ))
-                } else {
-                    let run = self.core.convolve(features, kernels, params)?;
-                    Ok(Execution::single(
-                        JobOutput::Cube(run.output),
-                        run.stats.cycles,
-                    ))
-                }
+                let run = shard::convolve_sharded_with(
+                    &mut self.core,
+                    features,
+                    kernels,
+                    params,
+                    num_arrays,
+                    |_| {},
+                )?;
+                let per_shard = run.per_shard_cycles();
+                Ok(sharded_execution(
+                    JobOutput::Cube(run.output),
+                    run.plan.used_arrays(),
+                    &per_shard,
+                    run.reduction_cycles,
+                ))
             }
             JobPayload::Gemm { a, b } => {
                 let precision = self.core.config().precision;
@@ -573,31 +541,20 @@ impl InferenceBackend for FunctionalBackend {
                 params,
             } => {
                 tempus_nvdla::conv::check_operands(features, kernels, self.config.base.precision)?;
-                if num_arrays > 1 {
-                    let latency = self.cache.predict_sharded(
-                        features,
-                        kernels,
-                        params,
-                        &self.config,
-                        num_arrays,
-                    )?;
-                    let output = direct_conv(features, kernels, params)?;
-                    Ok(sharded_execution(
-                        JobOutput::Cube(output),
-                        latency.plan.used_arrays(),
-                        &latency.per_shard_cycles,
-                        latency.reduction_cycles,
-                    ))
-                } else {
-                    let latency = self
-                        .cache
-                        .predict(features, kernels, params, &self.config)?;
-                    let output = direct_conv(features, kernels, params)?;
-                    Ok(Execution::single(
-                        JobOutput::Cube(output),
-                        latency.total_cycles,
-                    ))
-                }
+                let latency = self.cache.predict_sharded(
+                    features,
+                    kernels,
+                    params,
+                    &self.config,
+                    num_arrays,
+                )?;
+                let output = direct_conv(features, kernels, params)?;
+                Ok(sharded_execution(
+                    JobOutput::Cube(output),
+                    latency.plan.used_arrays(),
+                    &latency.per_shard_cycles,
+                    latency.reduction_cycles,
+                ))
             }
             JobPayload::Gemm { a, b } => {
                 self.config.base.precision.check_all(a.as_slice())?;
@@ -768,7 +725,8 @@ mod tests {
     fn multi_array_backends_agree_on_outputs_and_cycles() {
         // Tempus and functional backends must agree on the sharded
         // critical path, array-cycles, occupancy and balance for every
-        // array count; NVDLA agrees on outputs.
+        // array count; NVDLA agrees on outputs. Width 1 is one more
+        // sharded run: one shard whose cycles are the job's latency.
         for arrays in [1usize, 2, 3, 4, 8] {
             let mut tempus =
                 TempusBackend::new(TempusConfig::nv_small(), (4, 4)).with_arrays(arrays);
@@ -794,6 +752,17 @@ mod tests {
                     "{} arrays={arrays}",
                     job.name
                 );
+                assert_eq!(t.per_shard_cycles, f.per_shard_cycles, "{}", job.name);
+                assert_eq!(t.reduction_cycles, f.reduction_cycles, "{}", job.name);
+                if arrays == 1 {
+                    for (backend, run) in [("tempus", &t), ("fast", &f), ("nvdla", &n)] {
+                        let tag = format!("{backend} {} arrays=1", job.name);
+                        assert_eq!(run.shards, 1, "{tag}");
+                        assert_eq!(run.per_shard_cycles, [run.sim_cycles], "{tag}");
+                        assert_eq!(run.reduction_cycles, 0, "{tag}");
+                        assert_eq!(run.total_array_cycles, run.sim_cycles, "{tag}");
+                    }
+                }
             }
         }
     }

@@ -208,9 +208,9 @@ pub struct JobResult {
     pub wall_ns: u64,
     /// Which worker ran it.
     pub worker: usize,
-    /// Per-shard busy cycles, shard order (empty when the run was not
-    /// sharded) — the telemetry layer renders these as per-array
-    /// spans on the device timeline.
+    /// Per-shard busy cycles, shard order (`[sim_cycles]` on one
+    /// array, empty on whole-network jobs) — the telemetry layer
+    /// renders two or more as per-array spans on the device timeline.
     pub per_shard_cycles: Vec<u64>,
     /// Cycles of the cross-array reduction stage within `sim_cycles`.
     pub reduction_cycles: u64,

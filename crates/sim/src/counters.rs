@@ -1,5 +1,3 @@
-use crate::ClockDomain;
-
 /// Tracks how many cycles a block spent active versus clock-gated.
 ///
 /// NVDLA's MAC cells support clock gating "during idle or underutilized
@@ -33,11 +31,6 @@ impl ActivityCounter {
         self.active += n;
     }
 
-    /// Records `n` gated cycles at once.
-    pub fn record_gated_n(&mut self, n: u64) {
-        self.gated += n;
-    }
-
     /// Records one whole compute window in bulk: `active` active
     /// cycles and `window - active` gated ones. This is the counter
     /// update the window-batched simulation engine computes
@@ -65,165 +58,16 @@ impl ActivityCounter {
         self.gated
     }
 
-    /// Total recorded cycles.
-    #[must_use]
-    pub fn total_cycles(self) -> u64 {
-        self.active + self.gated
-    }
-
-    /// Fraction of cycles active (0 when nothing recorded).
-    #[must_use]
-    pub fn utilization(self) -> f64 {
-        let total = self.total_cycles();
-        if total == 0 {
-            0.0
-        } else {
-            self.active as f64 / total as f64
-        }
-    }
-
     /// Merges another counter into this one.
     pub fn merge(&mut self, other: ActivityCounter) {
         self.active += other.active;
         self.gated += other.gated;
-    }
-
-    /// Clears all counts.
-    pub fn clear(&mut self) {
-        *self = Self::default();
-    }
-}
-
-/// Per-shard activity record for multi-array execution: one PE
-/// array's clock alongside its [`ActivityCounter`]. The sharded
-/// drivers in `tempus-core` emit one of these per array so
-/// cycle/pulse/utilization accounting stays attributable after the
-/// merge.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ShardActivity {
-    /// Shard (array) index within the plan.
-    pub shard: usize,
-    /// Cycles this array's clock ran for its shard of the job.
-    pub cycles: u64,
-    /// Pulse-active vs gated PE-cycles on this array.
-    pub activity: ActivityCounter,
-}
-
-impl ShardActivity {
-    /// Creates a record for shard `shard`.
-    #[must_use]
-    pub fn new(shard: usize, cycles: u64, activity: ActivityCounter) -> Self {
-        ShardActivity {
-            shard,
-            cycles,
-            activity,
-        }
-    }
-
-    /// This array's PE utilization over its shard: active PE-cycles
-    /// per lane-cycle (0 when the shard ran no cycles).
-    #[must_use]
-    pub fn utilization(&self, lanes: usize) -> f64 {
-        let lane_cycles = self.cycles * lanes as u64;
-        if lane_cycles == 0 {
-            0.0
-        } else {
-            self.activity.active_cycles() as f64 / lane_cycles as f64
-        }
-    }
-}
-
-/// Sums shard records into `(total_cycles, merged_activity)` — the
-/// aggregate the single-array statistics compare against.
-#[must_use]
-pub fn merge_shards(shards: &[ShardActivity]) -> (u64, ActivityCounter) {
-    let mut cycles = 0u64;
-    let mut activity = ActivityCounter::new();
-    for s in shards {
-        cycles += s.cycles;
-        activity.merge(s.activity);
-    }
-    (cycles, activity)
-}
-
-/// Integrates energy over recorded activity: active cycles burn dynamic
-/// plus leakage power, gated cycles burn leakage only.
-#[derive(Debug, Clone, Copy)]
-pub struct EnergyAccumulator {
-    clock: ClockDomain,
-    dynamic_mw: f64,
-    leakage_mw: f64,
-    energy_pj: f64,
-}
-
-impl EnergyAccumulator {
-    /// Creates an accumulator for a block drawing `dynamic_mw` when
-    /// active and `leakage_mw` always, in clock domain `clock`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either power is negative or non-finite.
-    #[must_use]
-    pub fn new(clock: ClockDomain, dynamic_mw: f64, leakage_mw: f64) -> Self {
-        assert!(
-            dynamic_mw >= 0.0 && dynamic_mw.is_finite(),
-            "dynamic power must be non-negative"
-        );
-        assert!(
-            leakage_mw >= 0.0 && leakage_mw.is_finite(),
-            "leakage power must be non-negative"
-        );
-        EnergyAccumulator {
-            clock,
-            dynamic_mw,
-            leakage_mw,
-            energy_pj: 0.0,
-        }
-    }
-
-    /// Accounts `cycles` of active operation.
-    pub fn add_active(&mut self, cycles: u64) {
-        self.energy_pj += self
-            .clock
-            .energy_pj(self.dynamic_mw + self.leakage_mw, cycles);
-    }
-
-    /// Accounts `cycles` of gated operation (leakage only).
-    pub fn add_gated(&mut self, cycles: u64) {
-        self.energy_pj += self.clock.energy_pj(self.leakage_mw, cycles);
-    }
-
-    /// Accounts a whole [`ActivityCounter`].
-    pub fn add_activity(&mut self, activity: ActivityCounter) {
-        self.add_active(activity.active_cycles());
-        self.add_gated(activity.gated_cycles());
-    }
-
-    /// Total accumulated energy in picojoules.
-    #[must_use]
-    pub fn energy_pj(&self) -> f64 {
-        self.energy_pj
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn utilization_counts_both_states() {
-        let mut a = ActivityCounter::new();
-        a.record_active();
-        a.record_active();
-        a.record_gated_n(2);
-        assert_eq!(a.total_cycles(), 4);
-        assert!((a.utilization() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_counter_has_zero_utilization() {
-        assert_eq!(ActivityCounter::new().utilization(), 0.0);
-    }
 
     #[test]
     fn record_window_splits_active_and_gated() {
@@ -239,7 +83,7 @@ mod tests {
         }
         assert_eq!(bulk, ticked);
         bulk.record_window(0, 0);
-        assert_eq!(bulk.total_cycles(), 10);
+        assert_eq!(bulk.active_cycles() + bulk.gated_cycles(), 10);
     }
 
     #[test]
@@ -247,51 +91,9 @@ mod tests {
         let mut a = ActivityCounter::new();
         a.record_active_n(3);
         let mut b = ActivityCounter::new();
-        b.record_gated_n(5);
+        b.record_window(0, 5);
         a.merge(b);
         assert_eq!(a.active_cycles(), 3);
         assert_eq!(a.gated_cycles(), 5);
-    }
-
-    #[test]
-    fn shard_records_merge_and_report_utilization() {
-        let mut a = ActivityCounter::new();
-        a.record_window(6, 10);
-        let mut b = ActivityCounter::new();
-        b.record_window(2, 10);
-        let shards = [ShardActivity::new(0, 5, a), ShardActivity::new(1, 5, b)];
-        assert!((shards[0].utilization(2) - 0.6).abs() < 1e-12);
-        let (cycles, merged) = merge_shards(&shards);
-        assert_eq!(cycles, 10);
-        assert_eq!(merged.active_cycles(), 8);
-        assert_eq!(merged.gated_cycles(), 12);
-        assert_eq!(ShardActivity::default().utilization(4), 0.0);
-    }
-
-    #[test]
-    fn energy_active_includes_leakage() {
-        // 1 mW dynamic + 0.5 mW leakage at 4 ns/cycle:
-        // active cycle = 6 pJ, gated cycle = 2 pJ.
-        let mut e = EnergyAccumulator::new(ClockDomain::paper(), 1.0, 0.5);
-        e.add_active(1);
-        assert!((e.energy_pj() - 6.0).abs() < 1e-12);
-        e.add_gated(1);
-        assert!((e.energy_pj() - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energy_from_activity_counter() {
-        let mut a = ActivityCounter::new();
-        a.record_active_n(10);
-        a.record_gated_n(10);
-        let mut e = EnergyAccumulator::new(ClockDomain::paper(), 2.0, 0.0);
-        e.add_activity(a);
-        assert!((e.energy_pj() - 80.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_power_rejected() {
-        let _ = EnergyAccumulator::new(ClockDomain::paper(), -1.0, 0.0);
     }
 }

@@ -1,19 +1,15 @@
 use std::collections::VecDeque;
 
-/// A bounded FIFO with occupancy statistics, modelling the buffer blocks
-/// that Tempus Core adds "to accommodate multiple tub cycles per partial
-/// sum computation" (§III).
+/// A bounded FIFO modelling the buffer blocks that Tempus Core adds
+/// "to accommodate multiple tub cycles per partial sum computation"
+/// (§III).
 ///
 /// Push/pop within a cycle follow valid/ready semantics: a push succeeds
-/// only when the FIFO has space (`ready`), a pop only when it holds data
-/// (`valid`).
+/// only when the FIFO has space (`ready`), a pop only when it holds data.
 #[derive(Debug, Clone)]
 pub struct Fifo<T> {
     items: VecDeque<T>,
     capacity: usize,
-    pushes: u64,
-    pops: u64,
-    stall_cycles: u64,
 }
 
 impl<T> Fifo<T> {
@@ -28,16 +24,7 @@ impl<T> Fifo<T> {
         Fifo {
             items: VecDeque::with_capacity(capacity),
             capacity,
-            pushes: 0,
-            pops: 0,
-            stall_cycles: 0,
         }
-    }
-
-    /// `true` when a consumer can pop this cycle.
-    #[must_use]
-    pub fn valid(&self) -> bool {
-        !self.items.is_empty()
     }
 
     /// `true` when a producer can push this cycle.
@@ -46,123 +33,20 @@ impl<T> Fifo<T> {
         self.items.len() < self.capacity
     }
 
-    /// Offers `item`; returns it back when the FIFO is full (producer
-    /// must retry next cycle) and records a stall.
+    /// Offers `item`; returns it back when the FIFO is full (the
+    /// producer must retry next cycle).
     pub fn push(&mut self, item: T) -> Result<(), T> {
         if self.ready() {
             self.items.push_back(item);
-            self.pushes += 1;
             Ok(())
         } else {
-            self.stall_cycles += 1;
             Err(item)
         }
     }
 
     /// Pops the oldest entry, if any.
     pub fn pop(&mut self) -> Option<T> {
-        let item = self.items.pop_front();
-        if item.is_some() {
-            self.pops += 1;
-        }
-        item
-    }
-
-    /// Peeks at the oldest entry without consuming it.
-    #[must_use]
-    pub fn front(&self) -> Option<&T> {
-        self.items.front()
-    }
-
-    /// Current occupancy.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` when empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Total successful pushes.
-    #[must_use]
-    pub fn pushes(&self) -> u64 {
-        self.pushes
-    }
-
-    /// Total successful pops.
-    #[must_use]
-    pub fn pops(&self) -> u64 {
-        self.pops
-    }
-
-    /// Number of rejected pushes (back-pressure events).
-    #[must_use]
-    pub fn stall_cycles(&self) -> u64 {
-        self.stall_cycles
-    }
-
-    /// Drops all contents and statistics (reset).
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.pushes = 0;
-        self.pops = 0;
-        self.stall_cycles = 0;
-    }
-}
-
-/// A single-entry pipeline stage with valid/ready handshake — the
-/// "output registers to maintain functionality" of §III.
-#[derive(Debug, Clone, Default)]
-pub struct Pipe<T> {
-    slot: Option<T>,
-}
-
-impl<T> Pipe<T> {
-    /// Creates an empty stage.
-    #[must_use]
-    pub fn new() -> Self {
-        Pipe { slot: None }
-    }
-
-    /// `true` when the stage holds data.
-    #[must_use]
-    pub fn valid(&self) -> bool {
-        self.slot.is_some()
-    }
-
-    /// `true` when the stage can accept data.
-    #[must_use]
-    pub fn ready(&self) -> bool {
-        self.slot.is_none()
-    }
-
-    /// Loads the stage; returns the item back when occupied.
-    pub fn load(&mut self, item: T) -> Result<(), T> {
-        if self.slot.is_none() {
-            self.slot = Some(item);
-            Ok(())
-        } else {
-            Err(item)
-        }
-    }
-
-    /// Drains the stage.
-    pub fn take(&mut self) -> Option<T> {
-        self.slot.take()
-    }
-
-    /// Peeks without draining.
-    #[must_use]
-    pub fn peek(&self) -> Option<&T> {
-        self.slot.as_ref()
-    }
-
-    /// Empties the stage (reset).
-    pub fn clear(&mut self) {
-        self.slot = None;
+        self.items.pop_front()
     }
 }
 
@@ -176,51 +60,24 @@ mod tests {
         assert!(f.push(1).is_ok());
         assert!(f.push(2).is_ok());
         assert_eq!(f.push(3), Err(3));
-        assert_eq!(f.stall_cycles(), 1);
         assert_eq!(f.pop(), Some(1));
         assert_eq!(f.pop(), Some(2));
         assert_eq!(f.pop(), None);
-        assert_eq!(f.pushes(), 2);
-        assert_eq!(f.pops(), 2);
     }
 
     #[test]
     fn fifo_valid_ready_track_occupancy() {
         let mut f = Fifo::new(1);
-        assert!(!f.valid());
         assert!(f.ready());
         f.push(9u8).unwrap();
-        assert!(f.valid());
         assert!(!f.ready());
+        assert_eq!(f.pop(), Some(9));
+        assert!(f.ready());
     }
 
     #[test]
     #[should_panic(expected = "nonzero")]
     fn zero_capacity_fifo_rejected() {
         let _: Fifo<u8> = Fifo::new(0);
-    }
-
-    #[test]
-    fn fifo_clear_resets_stats() {
-        let mut f = Fifo::new(1);
-        f.push(1).unwrap();
-        let _ = f.push(2);
-        f.clear();
-        assert!(f.is_empty());
-        assert_eq!(f.pushes(), 0);
-        assert_eq!(f.stall_cycles(), 0);
-    }
-
-    #[test]
-    fn pipe_single_occupancy() {
-        let mut p = Pipe::new();
-        assert!(p.ready());
-        p.load(5u32).unwrap();
-        assert!(p.valid());
-        assert_eq!(p.load(6), Err(6));
-        assert_eq!(p.peek(), Some(&5));
-        assert_eq!(p.take(), Some(5));
-        assert!(p.ready());
-        assert_eq!(p.take(), None);
     }
 }

@@ -1,59 +1,42 @@
-//! Two-phase clocked simulation kernel for the Tempus Core reproduction.
+//! Cycle-accounting building blocks shared by the cycle-accurate
+//! Tempus Core and NVDLA models.
 //!
-//! The paper evaluates RTL with commercial simulators and EDA tools; this
-//! crate is the Rust substitute: a small, deterministic synchronous
-//! simulation framework with
+//! The paper validates its RTL in commercial simulators; the models in
+//! this workspace run window-batched engines instead, and this crate
+//! holds the few pieces they share:
 //!
-//! * [`Reg`] — a two-phase register (`set_next` during evaluation,
-//!   committed at the clock edge) with toggle counting;
-//! * [`Clocked`] — the trait every cycle-accurate component implements;
-//! * [`Fifo`] / [`Pipe`] — valid/ready handshake building blocks, used by
-//!   the PCU's multi-cycle handshaking logic (§III);
-//! * [`ActivityCounter`] / [`EnergyAccumulator`] — per-component activity
-//!   tracking feeding the workload-dependent energy evaluation (§V-C);
-//! * [`ClockDomain`] — cycle/time conversions at the paper's fixed
-//!   250 MHz clock;
-//! * [`VcdWriter`] — a minimal value-change-dump writer for waveform
-//!   inspection of the cycle-accurate models;
-//! * [`Simulator`] — a watchdog-guarded run loop.
+//! * [`Fifo`] — the bounded valid/ready buffer behind the PCU's
+//!   multi-cycle handshaking logic (§III);
+//! * [`ActivityCounter`] — active versus clock-gated cycle counts,
+//!   feeding the workload-dependent energy evaluation (§V-C);
+//! * [`VcdWriter`] / [`VcdValue`] — a minimal value-change-dump writer
+//!   for waveform inspection of the cycle-accurate models.
 //!
 //! # Example
 //!
 //! ```
-//! use tempus_sim::{Clocked, Reg, Simulator};
+//! use tempus_sim::{ActivityCounter, Fifo};
 //!
-//! struct Counter { value: Reg<u32> }
-//! impl Clocked for Counter {
-//!     fn tick(&mut self) {
-//!         self.value.set_next(self.value.get() + 1);
-//!         self.value.commit();
-//!     }
-//!     fn reset(&mut self) { self.value.force(0); }
-//! }
+//! // A two-entry output buffer refuses a third bundle until one drains.
+//! let mut out = Fifo::new(2);
+//! out.push(1).unwrap();
+//! out.push(2).unwrap();
+//! assert_eq!(out.push(3), Err(3));
+//! assert_eq!(out.pop(), Some(1));
 //!
-//! let mut c = Counter { value: Reg::new(0) };
-//! let mut sim = Simulator::at_250_mhz();
-//! let cycles = sim.run_until(&mut c, |c| c.value.get() == 10, 100).unwrap();
-//! assert_eq!(cycles, 10);
+//! // A 5-cycle window in which a PE pulses for 3 cycles.
+//! let mut pe = ActivityCounter::new();
+//! pe.record_window(3, 5);
+//! assert_eq!((pe.active_cycles(), pe.gated_cycles()), (3, 2));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clock;
-mod clocked;
 mod counters;
 mod handshake;
-mod reg;
-mod runner;
-mod scoreboard;
 mod vcd;
 
-pub use clock::ClockDomain;
-pub use clocked::Clocked;
-pub use counters::{merge_shards, ActivityCounter, EnergyAccumulator, ShardActivity};
-pub use handshake::{Fifo, Pipe};
-pub use reg::Reg;
-pub use runner::{SimError, Simulator};
-pub use scoreboard::{Scoreboard, ScoreboardError};
+pub use counters::ActivityCounter;
+pub use handshake::Fifo;
 pub use vcd::{VcdValue, VcdWriter};

@@ -9,7 +9,7 @@
 //! design notes.
 //!
 //! The workspace layers, bottom-up: [`arith`] (tub arithmetic),
-//! [`sim`] (clocked simulation scaffolding), [`nvdla`] (the
+//! [`sim`] (FIFO, activity counter and VCD writer), [`nvdla`] (the
 //! convolution-pipeline substrate and binary baseline), [`core`] (the
 //! Tempus Core engine and tubGEMM), [`hwmodel`] (calibrated area/power
 //! models), [`models`] (the CNN zoo with synthetic quantized weights),

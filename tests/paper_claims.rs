@@ -27,7 +27,7 @@ fn abstract_claim_pcu_vs_cmac_59_3_and_15_3() {
 fn abstract_claim_16x16_array_75_and_62() {
     // "Considering a 16x16 PE array in Tempus Core, area and power
     // improves by 75% and 62%" — the paper's own Fig. 4 numbers give
-    // 80% area; we track the numbers (see EXPERIMENTS.md).
+    // 80% area; we accept both (README, "Reproducing the paper").
     let hw = SynthModel::nangate45();
     let (area, power) = hw.improvement_pct(Level::Array, IntPrecision::Int8, 16, 16);
     assert!((72.0..82.0).contains(&area), "area reduction {area:.1}%");
